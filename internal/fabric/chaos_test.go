@@ -51,10 +51,9 @@ func TestChaosFailover(t *testing.T) {
 	// Follower on a clean link: replication integrity is the invariant
 	// under test, so only the router's link takes faults.
 	fol, err := repl.NewFollower(repl.FollowerConfig{
-		Addr:     addr,
-		Dir:      dirF,
-		Interval: time.Millisecond,
-		Retry:    retry.Policy{Base: time.Millisecond, Cap: 10 * time.Millisecond},
+		Addr:  addr,
+		Dir:   dirF,
+		Retry: retry.Policy{Base: time.Millisecond, Cap: 10 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatalf("NewFollower: %v", err)

@@ -79,6 +79,11 @@ type persistState struct {
 
 	mu      sync.Mutex
 	lastErr error
+	pulls   []pullSeen // per shard: the last replication pull served (repl.go)
+
+	// sig fires at every replication-visible change of any store; parked
+	// follower pulls wait on it.
+	sig journal.Signal
 
 	stop chan struct{}
 	done chan struct{}
@@ -183,6 +188,7 @@ func (f *Fabric) OpenPersist(opts PersistOptions) error {
 				return fmt.Errorf("fabric: recovering shard %d: %w", i, err)
 			}
 			st.SetSync(p.syncMode, opts.FsyncInterval)
+			st.SetSignal(&p.sig)
 			p.stores[i] = st
 		}
 	}
@@ -253,6 +259,7 @@ func (f *Fabric) recommitLocked(st server.SnapshotState) (err error) {
 			return fmt.Errorf("fabric: rebuilding shard %d store: %w", i, err)
 		}
 		store.SetSync(p.syncMode, p.opts.FsyncInterval)
+		store.SetSignal(&p.sig)
 		// ImportState marks the imported tallies dirty, so the compaction
 		// below writes them into the fresh retained log.
 		sh.ImportState(per[i])

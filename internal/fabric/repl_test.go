@@ -166,10 +166,9 @@ func TestReplicationFailoverPromotion(t *testing.T) {
 	addr, stopWire := startWire(t, prim)
 
 	fol, err := repl.NewFollower(repl.FollowerConfig{
-		Addr:     addr,
-		Dir:      dirF,
-		Interval: 2 * time.Millisecond,
-		Retry:    retry.Policy{Base: 2 * time.Millisecond, Cap: 20 * time.Millisecond},
+		Addr:  addr,
+		Dir:   dirF,
+		Retry: retry.Policy{Base: 2 * time.Millisecond, Cap: 20 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatalf("NewFollower: %v", err)
@@ -302,4 +301,211 @@ func scrapeGauge(t *testing.T, page, name string) float64 {
 		t.Fatalf("metric %s value %q: %v", name, m[1], err)
 	}
 	return v
+}
+
+// No timer sits on the replicated ack path: with a group-commit tick that
+// never fires, a mutating ack still returns at once, because the barrier
+// kicks the group commit and the parked follower pull wakes on the fsync.
+// A timer dependency would show as a 5 s degraded ack.
+func TestReplAckNeedsNoTimer(t *testing.T) {
+	t.Cleanup(servertest.VerifyNone(t))
+	cfg := server.Config{WorkerTimeout: time.Hour, SpeculationLimit: 1}
+	prim := New(cfg, 2)
+	if err := prim.OpenPersist(PersistOptions{Dir: t.TempDir(), Fsync: "group", FsyncInterval: time.Hour}); err != nil {
+		t.Fatalf("OpenPersist: %v", err)
+	}
+	t.Cleanup(func() { prim.ClosePersist() })
+	if err := prim.EnableReplication(5 * time.Second); err != nil {
+		t.Fatalf("EnableReplication: %v", err)
+	}
+	addr, _ := startWire(t, prim)
+	fol := startFollower(t, addr)
+	waitMatched(t, prim, 1)
+
+	cl := dialWire(t, addr)
+	timed := func(what string, op func() error) {
+		t.Helper()
+		start := time.Now()
+		if err := op(); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if took := time.Since(start); took > time.Second {
+			t.Fatalf("%s ack took %v: the barrier waited on a timer", what, took)
+		}
+	}
+	var ids []int
+	timed("enqueue", func() (err error) {
+		ids, err = cl.SubmitTasks([]server.TaskSpec{{Records: []string{"a", "b"}, Classes: 2, Quorum: 1}})
+		return err
+	})
+	var w int
+	timed("join", func() (err error) { w, err = cl.Join("alice"); return err })
+	var a server.Assignment
+	timed("fetch", func() (err error) {
+		var ok bool
+		if a, ok, err = cl.FetchTask(w); err == nil && !ok {
+			err = fmt.Errorf("no assignment for task %v", ids)
+		}
+		return err
+	})
+	timed("submit", func() error {
+		_, _, err := cl.Submit(w, a.TaskID, []int{1, 0})
+		return err
+	})
+	if got := prim.ReplDegraded(); got != 0 {
+		t.Fatalf("degraded acks = %d, want 0", got)
+	}
+	if lag := fol.LagBytes(); lag != 0 {
+		t.Fatalf("follower lag = %d bytes after the acks, want 0", lag)
+	}
+}
+
+// A caught-up pull is held open until the journal has news, ships that
+// news in the same reply, gives up at its deadline, and is released at once
+// when the server stops.
+func TestReplPullParksUntilNews(t *testing.T) {
+	t.Cleanup(servertest.VerifyNone(t))
+	prim := New(server.Config{WorkerTimeout: time.Hour}, 1)
+	if err := prim.OpenPersist(PersistOptions{Dir: t.TempDir(), Fsync: "commit"}); err != nil {
+		t.Fatalf("OpenPersist: %v", err)
+	}
+	t.Cleanup(func() { prim.ClosePersist() })
+	caughtUp := func() wire.ReplPullRequest {
+		rs := prim.persist.Load().stores[0].ReplState()
+		return wire.ReplPullRequest{Gen: rs.Cur, WALOff: rs.Durable, RetOff: rs.RetainedSize, RetEpoch: rs.RetainedEpoch}
+	}
+	type reply struct {
+		ch  wire.ReplChunk
+		err error
+	}
+	pull := func(req wire.ReplPullRequest, stop <-chan struct{}) <-chan reply {
+		out := make(chan reply, 1)
+		go func() {
+			ch, err := prim.ReplRead(req, stop)
+			out <- reply{ch, err}
+		}()
+		return out
+	}
+
+	// Parked: nothing to ship, so no answer yet.
+	got := pull(caughtUp(), nil)
+	select {
+	case r := <-got:
+		t.Fatalf("caught-up pull answered at once (%+v, %v); want it parked", r.ch, r.err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	// News: the op journaled now ships in the parked pull's own reply.
+	if _, err := prim.CoreEnqueue([]server.TaskSpec{{Records: []string{"x"}, Classes: 2, Quorum: 1}}); err != nil {
+		t.Fatalf("enqueue: %v", err)
+	}
+	select {
+	case r := <-got:
+		if r.err != nil || r.ch.Action != wire.ReplWAL || len(r.ch.Data) == 0 {
+			t.Fatalf("woken pull = %+v, %v; want the new WAL bytes", r.ch, r.err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("parked pull not woken by a journal append")
+	}
+
+	// No news: the pull answers idle at its deadline.
+	start := time.Now()
+	select {
+	case r := <-pull(caughtUp(), nil):
+		if r.err != nil || r.ch.Action != wire.ReplIdle {
+			t.Fatalf("quiet pull = %+v, %v; want idle", r.ch, r.err)
+		}
+		if took := time.Since(start); took < replParkTimeout {
+			t.Fatalf("quiet pull answered after %v, before its %v deadline", took, replParkTimeout)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("quiet pull never answered")
+	}
+
+	// Stopping: a closed stop channel releases the park immediately.
+	stop := make(chan struct{})
+	close(stop)
+	start = time.Now()
+	r := <-pull(caughtUp(), stop)
+	if r.err != nil || r.ch.Action != wire.ReplIdle {
+		t.Fatalf("stopped pull = %+v, %v; want idle", r.ch, r.err)
+	}
+	if took := time.Since(start); took >= replParkTimeout/2 {
+		t.Fatalf("stopped pull took %v: it waited out the park", took)
+	}
+}
+
+// Tearing down a primary or a follower does not wait for a parked pull:
+// wire.Server.Shutdown and Follower.Stop both return well inside the
+// drain timeout, and nothing is left running.
+func TestReplShutdownWithParkedPull(t *testing.T) {
+	t.Cleanup(servertest.VerifyNone(t))
+	prim := New(server.Config{WorkerTimeout: time.Hour}, 2)
+	if err := prim.OpenPersist(PersistOptions{Dir: t.TempDir(), Fsync: "group"}); err != nil {
+		t.Fatalf("OpenPersist: %v", err)
+	}
+	t.Cleanup(func() { prim.ClosePersist() })
+	if err := prim.EnableReplication(5 * time.Second); err != nil {
+		t.Fatalf("EnableReplication: %v", err)
+	}
+	const drain = 10 * time.Second
+	prompt := func(what string, f func()) {
+		t.Helper()
+		start := time.Now()
+		f()
+		if took := time.Since(start); took > drain/5 {
+			t.Fatalf("%s took %v with a pull parked (drain timeout %v)", what, took, drain)
+		}
+	}
+
+	// Follower side: Stop aborts the pull the primary is holding.
+	addr, _ := startWire(t, prim)
+	fol := startFollower(t, addr)
+	waitMatched(t, prim, 1)
+	time.Sleep(10 * time.Millisecond) // the next pull is parked by now
+	prompt("Follower.Stop", fol.Stop)
+
+	// Primary side: Shutdown releases the parked pull of a live follower.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	srv := wire.NewServer(prim)
+	srv.Barrier = prim.ReplBarrier()
+	srv.DrainTimeout = drain
+	served := make(chan struct{})
+	go func() {
+		srv.Serve(ln)
+		close(served)
+	}()
+	fol = startFollower(t, ln.Addr().String())
+	waitMatched(t, prim, 1)
+	time.Sleep(10 * time.Millisecond)
+	prompt("wire.Server.Shutdown", func() {
+		ln.Close()
+		<-served
+	})
+	prompt("Follower.Stop after primary loss", fol.Stop)
+}
+
+// startFollower runs a follower of the primary at addr into a fresh
+// directory, stopped (and its Run error checked) at cleanup.
+func startFollower(t *testing.T, addr string) *repl.Follower {
+	t.Helper()
+	fol, err := repl.NewFollower(repl.FollowerConfig{
+		Addr:  addr,
+		Dir:   t.TempDir(),
+		Retry: retry.Policy{Base: time.Millisecond, Cap: 10 * time.Millisecond},
+	})
+	if err != nil {
+		t.Fatalf("NewFollower: %v", err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- fol.Run() }()
+	t.Cleanup(func() {
+		fol.Stop()
+		if err := <-done; err != nil {
+			t.Errorf("follower run: %v", err)
+		}
+	})
+	return fol
 }

@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"errors"
+	"fmt"
 	"net/http"
 	"sync/atomic"
 	"time"
@@ -106,9 +107,12 @@ func (rt *Router) CoreLeave(workerID int) {
 }
 
 // CoreEnqueue places each spec on a node by consistent-hashing its record
-// content and forwards per-node; ids return in request order. On a node
-// error, specs before the offending one are already enqueued — the same
-// partial-batch contract as the local fabric.
+// content and forwards each node's share as one batch — one frame and one
+// replication barrier per node, not per task; ids return in request
+// order. Nodes are contacted in order of their first spec. On a node
+// error, the nodes contacted before it have enqueued their whole share and
+// the rest nothing — the same partial-batch contract as the local fabric,
+// at node rather than spec granularity.
 func (rt *Router) CoreEnqueue(specs []server.TaskSpec) ([]int, error) {
 	if len(specs) == 0 {
 		return nil, server.ErrNoTasksGiven
@@ -118,14 +122,32 @@ func (rt *Router) CoreEnqueue(specs []server.TaskSpec) ([]int, error) {
 			return nil, err
 		}
 	}
-	ids := make([]int, 0, len(specs))
-	for _, spec := range specs {
-		node := rt.nodes[hashring.Jump(hashring.HashStrings(spec.Records), len(rt.nodes))]
-		got, err := node.Enqueue([]server.TaskSpec{spec})
+	owner := make([]int, len(specs))
+	share := make([][]server.TaskSpec, len(rt.nodes))
+	var order []int // nodes by first appearance
+	for i, spec := range specs {
+		n := hashring.Jump(hashring.HashStrings(spec.Records), len(rt.nodes))
+		owner[i] = n
+		if share[n] == nil {
+			order = append(order, n)
+		}
+		share[n] = append(share[n], spec)
+	}
+	got := make([][]int, len(rt.nodes))
+	for _, n := range order {
+		ids, err := rt.nodes[n].Enqueue(share[n])
 		if err != nil {
 			return nil, rt.mapUnavailable(err)
 		}
-		ids = append(ids, got...)
+		if len(ids) != len(share[n]) {
+			return nil, fmt.Errorf("fabric: node %d returned %d ids for %d tasks", n, len(ids), len(share[n]))
+		}
+		got[n] = ids
+	}
+	ids := make([]int, len(specs))
+	for i, n := range owner {
+		ids[i] = got[n][0]
+		got[n] = got[n][1:]
 	}
 	return ids, nil
 }

@@ -218,6 +218,56 @@ func TestRouterTwoNodeFabric(t *testing.T) {
 	}
 }
 
+// A routed batch costs one enqueue frame (and so one replication barrier)
+// per owning node, not one per task, and its ids still come back in
+// request order: the i-th id names the task holding the i-th spec.
+func TestRouterEnqueueBatchesPerNode(t *testing.T) {
+	t.Cleanup(servertest.VerifyNone(t))
+	cfg := server.Config{WorkerTimeout: time.Hour, SpeculationLimit: 1}
+	var nodes []*Fabric
+	var shards []*RemoteShard
+	for i := 0; i < 2; i++ {
+		node := NewNode(cfg, 2, i, 2)
+		addr, _ := startWire(t, node)
+		rs := NewRemoteShard(addr, remoteOpts())
+		t.Cleanup(rs.Close)
+		nodes = append(nodes, node)
+		shards = append(shards, rs)
+	}
+	rt := NewRouter(shards, nil)
+
+	var specs []server.TaskSpec
+	for i := 0; i < 25; i++ {
+		specs = append(specs, server.TaskSpec{
+			Records: []string{fmt.Sprintf("batch-%d-a", i), fmt.Sprintf("batch-%d-b", i)},
+			Classes: 2, Quorum: 1,
+		})
+	}
+	ids, err := rt.CoreEnqueue(specs)
+	if err != nil || len(ids) != len(specs) {
+		t.Fatalf("enqueue: ids=%v err=%v", ids, err)
+	}
+	perNode := make([]int, len(nodes))
+	for i, id := range ids {
+		perNode[(id-1)%len(nodes)]++
+		st, ok := rt.CoreResult(id)
+		if !ok {
+			t.Fatalf("id %d (spec %d) unresolvable through the router", id, i)
+		}
+		if fmt.Sprint(st.Records) != fmt.Sprint(specs[i].Records) {
+			t.Fatalf("id %d holds records %v, want spec %d's %v", id, st.Records, i, specs[i].Records)
+		}
+	}
+	for n, node := range nodes {
+		if perNode[n] == 0 {
+			t.Fatalf("node %d received none of the 25 tasks; the case does not exercise two nodes", n)
+		}
+		if got := node.Obs().Wire.Count(server.OpKindEnqueue); got != 1 {
+			t.Fatalf("node %d served %d enqueue frames for %d tasks, want 1", n, got, perNode[n])
+		}
+	}
+}
+
 // TestRouterFailFast pins the degraded mode: with a node gone, calls
 // return in-band unavailability instead of hanging, the circuit breaker
 // opens after the configured failures, and joins fail over to the

@@ -57,6 +57,11 @@ type Store struct {
 	syncs     uint64
 	groupStop chan struct{}
 	groupDone chan struct{}
+	kick      chan struct{} // 1-buffered: Kick requests the group commit now
+
+	// sig, when set, is fired at every change a replication reader can
+	// observe: durable frontier, generation, retained log (see SetSignal).
+	sig *Signal
 
 	// Observability: commit lag (first buffered op → durable fsync) and
 	// group-commit batch size, recorded into striped sketches outside mu;
@@ -73,8 +78,8 @@ type Store struct {
 // the historical behavior, where the wal reaches the disk at rotation and
 // commit only. Callers that want power-loss durability for individual ops
 // pick SyncCommit (one fsync per append, serializing wire-speed submit
-// rates on the disk) or SyncGroup (appends mark the log dirty and a short
-// ticker batches the fsyncs — bounded data loss, no per-op disk stall).
+// rates on the disk) or SyncGroup (appends mark the log dirty and one fsync
+// covers the batch — bounded data loss, no per-op disk stall).
 type SyncMode int
 
 const (
@@ -82,8 +87,10 @@ const (
 	SyncOff SyncMode = iota
 	// SyncCommit: fsync on every appended op before Append returns.
 	SyncCommit
-	// SyncGroup: batch fsyncs on the group ticker (the default interval is
-	// DefaultGroupInterval); an op is durable once the next tick fires.
+	// SyncGroup: batch fsyncs in the group-commit loop. An op is durable
+	// after the next batch fsync, which runs when a caller asks for it
+	// (Kick — the replication barrier does) or else on the next tick of the
+	// group interval (DefaultGroupInterval unless set), whichever is first.
 	SyncGroup
 )
 
@@ -105,9 +112,10 @@ func ParseSyncMode(s string) (SyncMode, error) {
 	return SyncOff, fmt.Errorf("journal: unknown fsync mode %q (want commit, group or off)", s)
 }
 
-// SetSync sets the store's fsync policy. interval applies to SyncGroup
-// (<= 0 selects DefaultGroupInterval). Call it before serving traffic;
-// switching modes stops any previous group ticker.
+// SetSync sets the store's fsync policy. interval is SyncGroup's tick
+// (<= 0 selects DefaultGroupInterval), the backstop for batches nobody
+// Kicks. Call it before serving traffic; switching modes stops any previous
+// group ticker.
 func (s *Store) SetSync(mode SyncMode, interval time.Duration) {
 	s.mu.Lock()
 	stop, done := s.groupStop, s.groupDone
@@ -131,8 +139,9 @@ func (s *Store) SetSync(mode SyncMode, interval time.Duration) {
 	go s.groupLoop(s.groupStop, s.groupDone, interval)
 }
 
-// groupLoop is the group-commit ticker: it fsyncs the wal whenever ops
-// accumulated since the previous tick.
+// groupLoop is the group-commit loop: it fsyncs the wal whenever ops have
+// accumulated, on every tick and on every Kick. Kicks that arrive while a
+// batch fsync runs coalesce into one more.
 func (s *Store) groupLoop(stop, done chan struct{}, interval time.Duration) {
 	defer close(done)
 	t := time.NewTicker(interval)
@@ -146,8 +155,69 @@ func (s *Store) groupLoop(stop, done chan struct{}, interval time.Duration) {
 			return
 		case <-t.C:
 			s.syncDirty()
+		case <-s.kick:
+			s.syncDirty()
 		}
 	}
+}
+
+// Kick asks the group-commit loop to fsync the pending batch now instead
+// of at the next tick. It never blocks, and it does nothing in the other
+// sync modes (there, appended bytes are already as durable as they get).
+func (s *Store) Kick() {
+	select {
+	case s.kick <- struct{}{}:
+	default: // a kick is already pending; it covers this one
+	}
+}
+
+// SetSignal makes the store fire sig at every replication-visible change:
+// the durable frontier advancing, a rotation or commit moving the
+// generation, the retained log growing or being rewritten, and Close. One
+// signal may serve many stores, so a reader can wait on all of them at
+// once. Call it before serving traffic.
+func (s *Store) SetSignal(sig *Signal) {
+	s.mu.Lock()
+	s.sig = sig
+	s.mu.Unlock()
+}
+
+// notifyLocked fires the store's signal. Callers hold mu.
+func (s *Store) notifyLocked() {
+	if s.sig != nil {
+		s.sig.Fire()
+	}
+}
+
+// Signal is a broadcast edge: Wait returns a channel that the next Fire
+// closes. The channel is made on demand, so firing a signal nobody waits
+// on costs no allocation. The zero value is ready to use.
+type Signal struct {
+	mu sync.Mutex
+	ch chan struct{}
+}
+
+// Wait returns the channel the next Fire closes. Until then every call
+// returns the same channel, so comparing two results tells whether a Fire
+// happened in between. Take it before reading the state it guards, so a
+// change racing the read still wakes the wait.
+func (g *Signal) Wait() <-chan struct{} {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.ch == nil {
+		g.ch = make(chan struct{})
+	}
+	return g.ch
+}
+
+// Fire wakes every Wait channel handed out since the previous Fire.
+func (g *Signal) Fire() {
+	g.mu.Lock()
+	if g.ch != nil {
+		close(g.ch)
+		g.ch = nil
+	}
+	g.mu.Unlock()
 }
 
 // syncDirty fsyncs the wal if group-mode appends are pending.
@@ -167,6 +237,7 @@ func (s *Store) syncDirty() {
 		s.failLocked(err)
 	} else {
 		s.walSynced = s.walBytes
+		s.notifyLocked()
 	}
 	s.mu.Unlock()
 	if err == nil {
@@ -237,6 +308,7 @@ func Open(dir string) (*Store, Recovered, error) {
 	}
 	s := &Store{
 		dir:      dir,
+		kick:     make(chan struct{}, 1),
 		lagRec:   sketch.NewRecorder(sketch.DefaultCompression),
 		batchRec: sketch.NewRecorder(sketch.DefaultCompression),
 	}
@@ -464,6 +536,10 @@ func (s *Store) Append(op Op) error {
 					s.dirtySince = time.Now()
 				}
 			}
+			if s.mode != SyncGroup {
+				// SyncOff ships everything appended; SyncCommit just synced.
+				s.notifyLocked()
+			}
 		}
 		s.mu.Unlock()
 	}
@@ -495,6 +571,7 @@ func (s *Store) AppendRetained(payloads [][]byte) error {
 			s.failLocked(err)
 			return err
 		}
+		s.notifyLocked()
 	}
 	return nil
 }
@@ -560,6 +637,7 @@ func (s *Store) RewriteRetained(payloads [][]byte) error {
 		s.retBytes = st.Size()
 	}
 	s.retEpoch++
+	s.notifyLocked()
 	return nil
 }
 
@@ -603,6 +681,7 @@ func (s *Store) Rotate() (uint64, error) {
 	if err := old.Close(); err != nil {
 		s.failGenLocked(err, prev)
 	}
+	s.notifyLocked()
 	return next, nil
 }
 
@@ -646,6 +725,7 @@ func (s *Store) Commit(gen uint64, snapshot []byte, newTallies [][]byte) error {
 		os.Remove(s.path(WALName(g)))
 		os.Remove(s.path(SnapName(g)))
 	}
+	s.notifyLocked()
 	return nil
 }
 
@@ -667,6 +747,7 @@ func (s *Store) Sync() error {
 		s.failLocked(err)
 	} else {
 		s.walSynced = s.walBytes
+		s.notifyLocked()
 	}
 	s.mu.Unlock()
 	if err == nil && wasDirty {
@@ -717,6 +798,7 @@ func (s *Store) Close() error {
 	if e := s.ret.Close(); err == nil {
 		err = e
 	}
+	s.notifyLocked()
 	return err
 }
 

@@ -26,8 +26,6 @@ type FollowerConfig struct {
 	Dir string
 	// Dial overrides the transport (fault injection, tests). Nil dials TCP.
 	Dial func(addr string) (net.Conn, error)
-	// Interval is the idle pull cadence once caught up (default 20ms).
-	Interval time.Duration
 	// Retry governs reconnects and failed pulls (default retry.DefaultPolicy
 	// with no attempt cap: a follower never gives up on its primary).
 	Retry retry.Policy
@@ -47,7 +45,9 @@ type mirror struct {
 // Follower pulls a primary's per-shard journals into a local mirror.
 // The pull loop runs on one goroutine; every write is fsynced before the
 // cursor advances, so the next pull's offsets acknowledge exactly what
-// this follower would recover after a crash.
+// this follower would recover after a crash. The loop never sleeps: a
+// caught-up pull is held open by the primary until there is something to
+// ship, so new journal bytes travel one round trip after their fsync.
 type Follower struct {
 	cfg FollowerConfig
 
@@ -84,9 +84,6 @@ func NewFollower(cfg FollowerConfig) (*Follower, error) {
 	if cfg.Dial == nil {
 		cfg.Dial = func(addr string) (net.Conn, error) { return net.Dial("tcp", addr) }
 	}
-	if cfg.Interval <= 0 {
-		cfg.Interval = 20 * time.Millisecond
-	}
 	if cfg.Retry.Base == 0 {
 		cfg.Retry = retry.DefaultPolicy()
 	}
@@ -118,8 +115,7 @@ func (f *Follower) Run() error {
 			return nil
 		default:
 		}
-		progress, err := f.pullRound()
-		if err != nil {
+		if err := f.pullRound(); err != nil {
 			if errors.Is(err, retry.ErrStopped) {
 				return nil
 			}
@@ -127,24 +123,21 @@ func (f *Follower) Run() error {
 			// is a mirror-side disk fault. Surface it.
 			return err
 		}
-		if !progress {
-			select {
-			case <-f.stop:
-				return nil
-			case <-time.After(f.cfg.Interval):
-			}
-		}
 	}
 }
 
 // Stop halts the pull loop and closes the mirror's file handles. After
-// Stop returns, Dir is quiescent and ready for promotion.
+// Stop returns, Dir is quiescent and ready for promotion. A pull the
+// primary is holding open is aborted by closing the connection.
 func (f *Follower) Stop() {
+	f.mu.Lock()
 	select {
 	case <-f.stop:
 	default:
 		close(f.stop)
 	}
+	f.mu.Unlock()
+	f.closeConn()
 	<-f.done
 	f.mu.Lock()
 	for i := range f.mirrors {
@@ -227,39 +220,47 @@ func (f *Follower) client() (*wire.Client, error) {
 		return nil, err
 	}
 	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.stopped() {
+		// Stop already closed the connection it knew of; this one would
+		// escape it.
+		cl.Close()
+		return nil, retry.ErrStopped
+	}
 	f.cl = cl
-	f.mu.Unlock()
 	return cl, nil
 }
 
+func (f *Follower) stopped() bool {
+	select {
+	case <-f.stop:
+		return true
+	default:
+		return false
+	}
+}
+
 // pullRound pulls every known shard once (shard 0 first — it discovers
-// the fabric's shard count on initial attach). Reports whether any pull
-// moved data.
-func (f *Follower) pullRound() (bool, error) {
+// the fabric's shard count on initial attach).
+func (f *Follower) pullRound() error {
 	n := len(f.mirrors)
 	if n == 0 {
 		n = 1 // discovery pull against shard 0
 	}
-	progress := false
 	for s := 0; s < n; s++ {
-		moved, err := f.pullShard(s)
-		if err != nil {
-			return progress, err
-		}
-		if moved {
-			progress = true
+		if err := f.pullShard(s); err != nil {
+			return err
 		}
 		if len(f.mirrors) > n {
 			n = len(f.mirrors)
 		}
 	}
-	return progress, nil
+	return nil
 }
 
 // pullShard issues one pull for shard s and applies the response,
 // retrying transport failures under the policy (reconnecting each time).
-func (f *Follower) pullShard(s int) (bool, error) {
-	var moved bool
+func (f *Follower) pullShard(s int) error {
 	var applyErr error
 	err := f.cfg.Retry.Do(f.stop, func() error {
 		cl, err := f.client()
@@ -281,27 +282,26 @@ func (f *Follower) pullShard(s int) (bool, error) {
 			Max:      f.cfg.MaxChunk,
 		})
 		if err != nil {
+			if f.stopped() {
+				return retry.Permanent(retry.ErrStopped) // Stop aborted the pull
+			}
 			// Transport failure: drop the connection and let the policy
 			// schedule the re-dial.
 			f.closeConn()
 			f.reconnects.Add(1)
 			return err
 		}
-		moved, applyErr = f.apply(s, ch)
-		if applyErr != nil {
+		if applyErr = f.apply(s, ch); applyErr != nil {
 			return retry.Permanent(applyErr)
 		}
 		return nil
 	})
-	if applyErr != nil {
-		return moved, applyErr
-	}
 	if err != nil {
-		return moved, err
+		return err
 	}
 	f.attached.Store(true)
 	f.lastPullNs.Store(time.Now().UnixNano())
-	return moved, nil
+	return nil
 }
 
 func (f *Follower) shardDir(s int) string {
@@ -311,48 +311,48 @@ func (f *Follower) shardDir(s int) string {
 // apply executes one replication chunk against the mirror. Every file
 // mutation is fsynced before the in-memory cursor advances: the cursor is
 // only ever an under-statement of what is on disk.
-func (f *Follower) apply(s int, ch wire.ReplChunk) (bool, error) {
+func (f *Follower) apply(s int, ch wire.ReplChunk) error {
 	if len(f.mirrors) == 0 {
 		if ch.Shards < 1 {
-			return false, fmt.Errorf("repl: primary reported %d shards", ch.Shards)
+			return fmt.Errorf("repl: primary reported %d shards", ch.Shards)
 		}
 		if err := f.initLayout(ch.Shards); err != nil {
-			return false, err
+			return err
 		}
 	}
 	if s >= len(f.mirrors) {
-		return false, fmt.Errorf("repl: chunk for shard %d of %d", s, len(f.mirrors))
+		return fmt.Errorf("repl: chunk for shard %d of %d", s, len(f.mirrors))
 	}
 	m := &f.mirrors[s]
 	switch ch.Action {
 	case wire.ReplBootstrap:
 		if err := f.bootstrap(s, ch); err != nil {
-			return false, err
+			return err
 		}
 		f.bootstraps.Add(1)
-		return true, nil
+		return nil
 	case wire.ReplWAL:
 		if ch.Gen != m.gen || m.wal == nil {
-			return false, fmt.Errorf("repl: WAL chunk for gen %d, mirror at gen %d", ch.Gen, m.gen)
+			return fmt.Errorf("repl: WAL chunk for gen %d, mirror at gen %d", ch.Gen, m.gen)
 		}
 		if _, err := m.wal.Write(ch.Data); err != nil {
-			return false, err
+			return err
 		}
 		if err := m.wal.Sync(); err != nil {
-			return false, err
+			return err
 		}
 		m.walOff += int64(len(ch.Data))
 		f.pulledBytes.Add(uint64(len(ch.Data)))
 		f.noteLag(ch, m)
-		return true, nil
+		return nil
 	case wire.ReplRetained:
 		if ch.RetEpoch != m.retEpoch {
-			return false, fmt.Errorf("repl: retained chunk for epoch %d, mirror at %d", ch.RetEpoch, m.retEpoch)
+			return fmt.Errorf("repl: retained chunk for epoch %d, mirror at %d", ch.RetEpoch, m.retEpoch)
 		}
 		path := filepath.Join(f.shardDir(s), journal.RetainedName)
 		rf, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
-			return false, err
+			return err
 		}
 		_, werr := rf.Write(ch.Data)
 		if werr == nil {
@@ -360,26 +360,26 @@ func (f *Follower) apply(s int, ch wire.ReplChunk) (bool, error) {
 		}
 		rf.Close()
 		if werr != nil {
-			return false, werr
+			return werr
 		}
 		m.retOff += int64(len(ch.Data))
 		f.pulledBytes.Add(uint64(len(ch.Data)))
-		return true, nil
+		return nil
 	case wire.ReplRetReset:
 		// The primary rewrote the retained log (tally aging): restart the
 		// mirror copy from its header under the new epoch.
 		path := filepath.Join(f.shardDir(s), journal.RetainedName)
 		if err := os.Truncate(path, journal.HeaderSize); err != nil {
-			return false, err
+			return err
 		}
 		m.retOff = journal.HeaderSize
 		m.retEpoch = ch.RetEpoch
-		return true, nil
+		return nil
 	case wire.ReplAdvance, wire.ReplIdle:
 		f.noteLag(ch, m)
-		return false, nil
+		return nil
 	default:
-		return false, fmt.Errorf("repl: unknown chunk action %d", ch.Action)
+		return fmt.Errorf("repl: unknown chunk action %d", ch.Action)
 	}
 }
 

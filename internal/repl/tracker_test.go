@@ -55,3 +55,34 @@ func TestTrackerObserveWait(t *testing.T) {
 		t.Fatal("Wait failed on already-reached targets")
 	}
 }
+
+// The barrier is event-driven: a waiter is released by the Observe that
+// reaches its targets, not by its timeout, and an Observe that falls short
+// (another shard, a lower offset) leaves it waiting.
+func TestTrackerWaitWakesOnObserve(t *testing.T) {
+	tr := NewTracker(2)
+	now := time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC)
+	tr.Observe(1, Position{Gen: 1, Off: 8}, now)
+	targets := []Position{{Gen: 1, Off: 100}, {Gen: 1, Off: 8}}
+
+	done := make(chan bool, 1)
+	go func() { done <- tr.Wait(targets, time.Minute) }()
+
+	tr.Observe(1, Position{Gen: 1, Off: 500}, now) // the other shard
+	tr.Observe(0, Position{Gen: 1, Off: 99}, now)  // one byte short
+	select {
+	case ok := <-done:
+		t.Fatalf("Wait returned %v before its targets were reached", ok)
+	case <-time.After(20 * time.Millisecond):
+	}
+
+	tr.Observe(0, Position{Gen: 1, Off: 100}, now)
+	select {
+	case ok := <-done:
+		if !ok {
+			t.Fatal("Wait reported a timeout for targets an Observe reached")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Wait not released by the Observe that reached its targets; it is waiting out its timer")
+	}
+}

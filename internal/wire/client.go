@@ -120,10 +120,10 @@ func (c *Client) Version() byte {
 	return c.version
 }
 
-// Close closes the connection.
+// Close closes the connection. Unlike the other methods it does not wait
+// for an in-flight call: closing from another goroutine aborts that call
+// (it fails, poisoned), which is how a blocked call is cancelled.
 func (c *Client) Close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return c.conn.Close()
 }
 

@@ -25,8 +25,10 @@ const defaultDrainTimeout = 5 * time.Second
 
 // ReplSource serves journal-shipping pulls (opReplPull). The fabric
 // implements it; a core without it answers pulls with an in-band error.
+// A caught-up pull may block until there is something to ship; it must
+// return promptly once stop is closed (the server is shutting down).
 type ReplSource interface {
-	ReplRead(ReplPullRequest) (ReplChunk, error)
+	ReplRead(req ReplPullRequest, stop <-chan struct{}) (ReplChunk, error)
 }
 
 // SnapshotSource serves whole-node state snapshot reads (opSnapshot).
@@ -79,6 +81,7 @@ type Server struct {
 	connMu sync.Mutex
 	conns  map[net.Conn]struct{}
 	closed bool
+	quit   chan struct{} // closed by Shutdown: releases parked replication pulls
 	active sync.WaitGroup
 }
 
@@ -88,7 +91,7 @@ type Server struct {
 // one are served uninstrumented. A core that exposes replication or
 // snapshot surfaces gets the corresponding control opcodes served.
 func NewServer(core server.Core) *Server {
-	s := &Server{core: core, conns: make(map[net.Conn]struct{})}
+	s := &Server{core: core, conns: make(map[net.Conn]struct{}), quit: make(chan struct{})}
 	if p, ok := core.(interface{ Obs() *server.Obs }); ok {
 		s.obs = p.Obs()
 	}
@@ -157,12 +160,16 @@ func (s *Server) Serve(l net.Listener) error {
 }
 
 // Shutdown drains the server's active connections: new connections are
-// refused, blocked reads are woken so each serving goroutine finishes (and
-// flushes) the frame it is on, and after DrainTimeout any straggler is
-// force-closed. It is idempotent and safe to call concurrently with Serve.
+// refused, parked replication pulls are released, blocked reads are woken
+// so each serving goroutine finishes (and flushes) the frame it is on, and
+// after DrainTimeout any straggler is force-closed. It is idempotent and
+// safe to call concurrently with Serve.
 func (s *Server) Shutdown() {
 	s.connMu.Lock()
-	s.closed = true
+	if !s.closed {
+		s.closed = true
+		close(s.quit)
+	}
 	open := make([]net.Conn, 0, len(s.conns))
 	for c := range s.conns {
 		open = append(open, c)
@@ -483,7 +490,7 @@ func (s *Server) serveControl(payload, respBuf []byte) []byte {
 		if s.repl == nil {
 			return appendError(respBuf, stUnavailable, "wire: no replication source")
 		}
-		ch, err := s.repl.ReplRead(req)
+		ch, err := s.repl.ReplRead(req, s.quit)
 		if err != nil {
 			return appendError(respBuf, stBadRequest, err.Error())
 		}

@@ -19,7 +19,7 @@ type gatedReplCore struct {
 	release chan struct{}
 }
 
-func (g *gatedReplCore) ReplRead(req ReplPullRequest) (ReplChunk, error) {
+func (g *gatedReplCore) ReplRead(req ReplPullRequest, _ <-chan struct{}) (ReplChunk, error) {
 	g.arrived <- struct{}{}
 	<-g.release
 	return ReplChunk{Action: ReplIdle, Shards: 1, Gen: req.Gen, Durable: req.WALOff, Appended: req.WALOff}, nil
