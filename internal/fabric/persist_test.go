@@ -5,10 +5,12 @@ import (
 	"fmt"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
 
+	"github.com/clamshell/clamshell/internal/journal/journaltest"
 	"github.com/clamshell/clamshell/internal/server"
 	"github.com/clamshell/clamshell/internal/server/servertest"
 )
@@ -119,6 +121,97 @@ func TestPersistRecoveryStress(t *testing.T) {
 	}
 	if _, ok, err := cl.FetchTask(wid); err != nil {
 		t.Fatalf("post-recovery fetch: ok=%v err=%v", ok, err)
+	}
+}
+
+// TestPersistUpgradeFromV1 boots a fabric on a persist directory whose
+// journals hold only v1 (JSON) records, as an earlier build leaves it. The
+// upgraded fabric must recover the same state, serve, append binary
+// records to the live v1 generations, and come back from the mixed
+// journals with a byte-identical /api/snapshot.
+func TestPersistUpgradeFromV1(t *testing.T) {
+	const shards = 2
+	dir := t.TempDir()
+	cfg := server.Config{WorkerTimeout: time.Hour, SpeculationLimit: 1}
+	wals := func() []string {
+		paths, err := filepath.Glob(filepath.Join(dir, "shard-*", "wal-*"))
+		if err != nil || len(paths) != shards {
+			t.Fatalf("wal files %v (err %v), want one per shard", paths, err)
+		}
+		return paths
+	}
+	// serve joins a worker, submits n tasks and answers half of them, then
+	// stops the engine and returns the facade snapshot.
+	serve := func(fab *Fabric, phase string, n int) []byte {
+		t.Helper()
+		ts := httptest.NewServer(fab)
+		defer ts.Close()
+		cl := server.NewClient(ts.URL)
+		wid, err := cl.Join(phase)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			if _, err := cl.SubmitTasks([]server.TaskSpec{{
+				Records: []string{fmt.Sprintf("%s-%d", phase, i), "b"}, Classes: 3, Quorum: 1, Priority: i % 3,
+			}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < n/2; i++ {
+			a, ok, err := cl.FetchTask(wid)
+			if err != nil || !ok {
+				t.Fatalf("%s fetch %d: ok=%v err=%v", phase, i, ok, err)
+			}
+			if acc, _, err := cl.Submit(wid, a.TaskID, []int{i % 3, 1}); err != nil || !acc {
+				t.Fatalf("%s submit: acc=%v err=%v", phase, acc, err)
+			}
+		}
+		if err := fab.ClosePersist(); err != nil {
+			t.Fatal(err)
+		}
+		snap, err := cl.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return snap
+	}
+	snapshotOf := func(fab *Fabric) []byte {
+		t.Helper()
+		ts := httptest.NewServer(fab)
+		defer ts.Close()
+		snap, err := server.NewClient(ts.URL).Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return snap
+	}
+
+	// An earlier build's directory: the same journals with v1 records.
+	old := serve(persistFabric(t, cfg, shards, dir, PersistOptions{}), "old", 12)
+	for _, path := range wals() {
+		if err := journaltest.DowngradeWAL(path, -1); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	fab := persistFabric(t, cfg, shards, dir, PersistOptions{})
+	if got := snapshotOf(fab); !bytes.Equal(got, old) {
+		t.Fatalf("v1 journals recovered a different state:\n got %s\nwant %s", got, old)
+	}
+	upgraded := serve(fab, "new", 12)
+	for _, path := range wals() {
+		v1, bin, err := journaltest.RecordKinds(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v1 == 0 || bin == 0 {
+			t.Fatalf("%s holds %d v1 and %d binary records, want both", path, v1, bin)
+		}
+	}
+
+	if got := snapshotOf(persistFabric(t, cfg, shards, dir, PersistOptions{})); !bytes.Equal(got, upgraded) {
+		t.Fatalf("mixed journals recovered a different state:\n got %s\nwant %s", got, upgraded)
 	}
 }
 

@@ -2,17 +2,15 @@ package journal
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 )
 
 // hybridGoldenOps is one op of every hybrid learning-plane type with fixed
-// contents, plus a feature-carrying submit. Their encoded form is pinned by
-// testdata/golden_hybrid.wal: the hybrid op codec must decode it
-// byte-identically forever (the base op set keeps its own fixture,
-// golden.wal, untouched — the hybrid ops are additive).
+// contents, plus a feature-carrying submit. Their v1 records are pinned by
+// testdata/golden_hybrid.wal (the base op set keeps its own fixture,
+// golden.wal, untouched — the hybrid ops are additive); their binary
+// records ride in testdata/golden_v2.wal after the base ops.
 func hybridGoldenOps() []Op {
 	return []Op{
 		{T: OpSubmit, At: 1442750500000000000, Task: 9,
@@ -23,53 +21,35 @@ func hybridGoldenOps() []Op {
 	}
 }
 
-// TestGoldenHybridWAL pins the hybrid op encodings: the checked-in fixture
-// must decode to exactly the golden ops, and re-encoding the golden ops
-// must reproduce the fixture byte for byte. Failing here means the hybrid
-// op format changed — that requires a new op type, not a fixture update.
+// TestGoldenHybridWAL pins the v1 hybrid op records: the read-only fixture
+// must decode to exactly the hybrid golden ops forever.
 func TestGoldenHybridWAL(t *testing.T) {
-	path := filepath.Join("testdata", "golden_hybrid.wal")
-	want := encodeWAL(t, hybridGoldenOps())
-	if *update {
-		if err := os.WriteFile(path, want, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("golden_hybrid.wal drifted from the current encoding:\n got %d bytes\nwant %d bytes", len(got), len(want))
-	}
-	if ops := scanOps(t, got); !reflect.DeepEqual(ops, hybridGoldenOps()) {
+	if ops := scanOps(t, readV1Fixture(t, "golden_hybrid.wal")); !reflect.DeepEqual(ops, hybridGoldenOps()) {
 		t.Fatalf("golden_hybrid.wal decoded to %+v", ops)
 	}
 }
 
 // Feature vectors must survive the encode/decode round trip bit-exactly:
 // replay determinism depends on it. Exercise values that stress float
-// formatting (subnormals, negative zero is excluded — JSON canonicalizes
-// -0 to -0 which still round-trips — powers of two, long decimals).
+// formatting (subnormals, negative zero, the largest finite value, long
+// decimals) — binary records carry the raw bits, so all of them do.
 func TestFeatureRoundTripExact(t *testing.T) {
 	in := Op{T: OpSubmit, Task: 1, Records: []string{"r"}, Classes: 2, Quorum: 1,
-		Features: [][]float64{{0.1, 1.0 / 3.0, 5e-324, 1.7976931348623157e308, -0.0, 42}}}
-	p, err := EncodeOp(in)
-	if err != nil {
-		t.Fatal(err)
-	}
+		Features: [][]float64{{0.1, 1.0 / 3.0, 5e-324, 1.7976931348623157e308, negZero(), 42}}}
+	p := appendOp(nil, &in)
 	out, err := DecodeOp(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(in, out) {
+	if !reflect.DeepEqual(in, out) || !sameFeatureBits(in.Features, out.Features) {
 		t.Fatalf("feature round trip changed op:\n in %+v\nout %+v", in, out)
 	}
-	p2, err := EncodeOp(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(p, p2) {
+	if p2 := appendOp(nil, &out); !bytes.Equal(p, p2) {
 		t.Fatalf("re-encoding decoded op changed bytes:\n %q\n %q", p, p2)
 	}
+}
+
+func negZero() float64 {
+	z := 0.0
+	return -z
 }

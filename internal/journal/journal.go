@@ -18,6 +18,14 @@
 // length/checksum pair and dropped; everything before it is the durable
 // prefix. Readers never trust the length field with more than MaxRecord
 // bytes of allocation, so a corrupt or hostile file cannot balloon memory.
+//
+// A wal record's payload is one of two kinds, chosen per record rather
+// than per file (op.go has the layouts): a v1 JSON object, or a binary op
+// that opens with a byte no JSON document can start with. New records are
+// always binary; v1 records are still read. So a node upgraded in place
+// keeps appending binary records to the v1 generation it was writing, a
+// replication mirror holds whatever mix its primary wrote, and the file
+// magics stay as they are.
 package journal
 
 import (
@@ -41,6 +49,9 @@ const MaxRecord = 1 << 24 // 16 MiB
 
 const headerLen = 8 // len(MagicWAL) == len(MagicRetained)
 
+// frameLen is the size of a record's length + checksum prefix.
+const frameLen = 8
+
 var (
 	// ErrChecksum reports a record whose payload does not match its CRC —
 	// a torn write or bit rot.
@@ -60,15 +71,24 @@ func WriteHeader(w io.Writer, magic string) error {
 // AppendRecord frames and writes one payload. The frame goes out in a
 // single Write so a crash tears at most one record, never interleaves two.
 func AppendRecord(w io.Writer, payload []byte) error {
+	rec := append(make([]byte, frameLen, frameLen+len(payload)), payload...)
+	if err := sealRecord(rec); err != nil {
+		return err
+	}
+	_, err := w.Write(rec)
+	return err
+}
+
+// sealRecord fills in the frame prefix of rec, a record built in place as
+// frameLen reserved bytes followed by its payload.
+func sealRecord(rec []byte) error {
+	payload := rec[frameLen:]
 	if len(payload) > MaxRecord {
 		return ErrTooLarge
 	}
-	buf := make([]byte, 8+len(payload))
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[4:8], crc32.Checksum(payload, crcTable))
-	copy(buf[8:], payload)
-	_, err := w.Write(buf)
-	return err
+	binary.LittleEndian.PutUint32(rec[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(rec[4:8], crc32.Checksum(payload, crcTable))
+	return nil
 }
 
 // Scanner iterates the records of one journal file, tracking the byte

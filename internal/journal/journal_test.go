@@ -9,15 +9,16 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+	"time"
 
 	"github.com/clamshell/clamshell/internal/server/servertest"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
-// goldenOps is one op of every type with fixed contents. The encoded form
-// is pinned by testdata/golden.wal: the current format version must decode
-// it byte-identically forever.
+// goldenOps is one op of every type with fixed contents. Their v1 (JSON)
+// records are pinned by testdata/golden.wal, their binary records by
+// testdata/golden_v2.wal; both must decode to exactly these ops forever.
 func goldenOps() []Op {
 	return []Op{
 		{T: OpSubmit, At: 1442750400000000000, Task: 1,
@@ -32,54 +33,88 @@ func goldenOps() []Op {
 	}
 }
 
+// encodeWAL returns a wal file holding the binary records of ops.
 func encodeWAL(t *testing.T, ops []Op) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := WriteHeader(&buf, MagicWAL); err != nil {
 		t.Fatal(err)
 	}
-	for _, op := range ops {
-		p, err := EncodeOp(op)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := AppendRecord(&buf, p); err != nil {
+	for i := range ops {
+		if err := AppendRecord(&buf, appendOp(nil, &ops[i])); err != nil {
 			t.Fatal(err)
 		}
 	}
 	return buf.Bytes()
 }
 
-func scanOps(t *testing.T, data []byte) []Op {
+// scanPayloads returns the record payloads of an intact wal file.
+func scanPayloads(t *testing.T, data []byte) [][]byte {
 	t.Helper()
 	sc, err := NewScanner(bytes.NewReader(data), MagicWAL)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ops []Op
+	var payloads [][]byte
 	for {
 		p, err := sc.Scan()
 		if err == io.EOF {
-			return ops
+			return payloads
 		}
 		if err != nil {
-			t.Fatalf("scan after %d ops: %v", len(ops), err)
+			t.Fatalf("scan after %d records: %v", len(payloads), err)
 		}
+		payloads = append(payloads, p)
+	}
+}
+
+func scanOps(t *testing.T, data []byte) []Op {
+	t.Helper()
+	var ops []Op
+	for _, p := range scanPayloads(t, data) {
 		op, err := DecodeOp(p)
 		if err != nil {
 			t.Fatal(err)
 		}
 		ops = append(ops, op)
 	}
+	return ops
 }
 
-// TestGoldenWAL pins the journal wire format: the checked-in fixture must
-// decode to exactly the golden ops, and re-encoding the golden ops must
-// reproduce the fixture byte for byte. If this test fails the format
-// changed — that requires a new magic version, not a fixture update.
+// readV1Fixture reads a v1 golden wal, checking that every record in it
+// really is a JSON one.
+func readV1Fixture(t *testing.T, name string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range scanPayloads(t, data) {
+		if p[0] != '{' {
+			t.Fatalf("%s record %d is not a v1 record: % x", name, i, p[:1])
+		}
+	}
+	return data
+}
+
+// TestGoldenWAL pins the v1 record format: testdata/golden.wal, written by
+// the JSON encoder of earlier builds, must decode to exactly the golden ops
+// forever. The fixture is read-only; nothing writes v1 records anymore.
 func TestGoldenWAL(t *testing.T) {
-	path := filepath.Join("testdata", "golden.wal")
-	want := encodeWAL(t, goldenOps())
+	if ops := scanOps(t, readV1Fixture(t, "golden.wal")); !reflect.DeepEqual(ops, goldenOps()) {
+		t.Fatalf("golden.wal decoded to %+v", ops)
+	}
+}
+
+// TestGoldenBinaryWAL pins the binary record format: the checked-in
+// fixture must decode to exactly the golden and hybrid ops, and encoding
+// them must reproduce it byte for byte. Failing here means the binary
+// encoding changed, which old journals cannot survive: a change needs a
+// new format byte, not a fixture update.
+func TestGoldenBinaryWAL(t *testing.T) {
+	path := filepath.Join("testdata", "golden_v2.wal")
+	ops := append(goldenOps(), hybridGoldenOps()...)
+	want := encodeWAL(t, ops)
 	if *update {
 		if err := os.WriteFile(path, want, 0o644); err != nil {
 			t.Fatal(err)
@@ -90,10 +125,81 @@ func TestGoldenWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Fatalf("golden.wal drifted from the current encoding:\n got %d bytes\nwant %d bytes", len(got), len(want))
+		t.Fatalf("golden_v2.wal drifted from the current encoding:\n got %d bytes\nwant %d bytes", len(got), len(want))
 	}
-	if ops := scanOps(t, got); !reflect.DeepEqual(ops, goldenOps()) {
-		t.Fatalf("golden.wal decoded to %+v", ops)
+	if back := scanOps(t, got); !reflect.DeepEqual(back, ops) {
+		t.Fatalf("golden_v2.wal decoded to %+v", back)
+	}
+}
+
+// TestMixedWAL replays a wal the way a node upgraded in place leaves it:
+// the v1 records it wrote before the upgrade, then binary records appended
+// to the same generation after it. Recovery must return every op in order,
+// and the records on disk must be v1 up to the upgrade and binary after.
+func TestMixedWAL(t *testing.T) {
+	dir := t.TempDir()
+	v1 := readV1Fixture(t, "golden.wal")
+	if err := os.WriteFile(filepath.Join(dir, WALName(1)), v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, rec, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(rec.Ops, goldenOps()) {
+		t.Fatalf("v1 wal recovered %+v", rec.Ops)
+	}
+	for _, op := range hybridGoldenOps() {
+		if err := st.Append(op); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st2, rec2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	want := append(goldenOps(), hybridGoldenOps()...)
+	if rec2.Truncated || !reflect.DeepEqual(rec2.Ops, want) {
+		t.Fatalf("mixed wal recovered truncated=%v ops=%+v", rec2.Truncated, rec2.Ops)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, WALName(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(data, v1) {
+		t.Fatal("appending rewrote the v1 records")
+	}
+	for i, p := range scanPayloads(t, data) {
+		if (p[0] == formatBinary) != (i >= len(goldenOps())) {
+			t.Fatalf("record %d has kind byte %#x", i, p[0])
+		}
+	}
+}
+
+// TestAppendAllocationFree pins the journal's share of the hot path: in
+// group-commit mode — the fabric's default — appending an answer allocates
+// nothing once the store's record buffer has grown to fit.
+func TestAppendAllocationFree(t *testing.T) {
+	st, _, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	// A long interval keeps the group-commit fsync, which records its lag
+	// into a sketch, out of the measured window.
+	st.SetSync(SyncGroup, time.Hour)
+	op := Op{T: OpAnswer, At: 1442750403000000000, Task: 17, Worker: 4, Labels: []int{0, 2, 1}, Pay: 60000}
+	if allocs := testing.AllocsPerRun(200, func() {
+		if err := st.Append(op); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("Store.Append allocates %.1f times per answer op, want 0", allocs)
 	}
 }
 

@@ -38,6 +38,7 @@ type Store struct {
 	wal    *os.File
 	ret    *os.File
 	walOps uint64 // records in the current wal
+	rec    []byte // Append's record buffer, reused across appends
 	err    error  // first write-path error since the last healing commit (see Err)
 	errGen uint64 // generation current when err was recorded
 
@@ -505,44 +506,57 @@ func (s *Store) recoverLog(path, magic string) (payloads [][]byte, truncated boo
 	return payloads, truncated, nil
 }
 
+// maxKeptRec bounds the record buffer a Store keeps between appends, so one
+// huge submit does not pin its buffer for the store's lifetime.
+const maxKeptRec = 64 << 10
+
 // Append journals one op. It is called on the mutation path while the
-// owning shard's lock is held, so records land in mutation order. An I/O
-// failure cannot un-apply the mutation; it is recorded sticky (Err) for
-// the operator instead of being silently dropped.
+// owning shard's lock is held, so records land in mutation order. The
+// record is encoded and framed in place in a buffer the store reuses and
+// goes out in one Write, so a settled store appends without allocating.
+// An I/O failure cannot un-apply the mutation; it is recorded sticky (Err)
+// for the operator instead of being silently dropped.
+//
+//clamshell:hotpath
 func (s *Store) Append(op Op) error {
-	payload, err := EncodeOp(op)
 	var lag float64
 	committed := false
+	s.mu.Lock()
+	var zero [frameLen]byte
+	s.rec = appendOp(append(s.rec[:0], zero[:]...), &op)
+	err := sealRecord(s.rec)
 	if err == nil {
-		s.mu.Lock()
-		err = AppendRecord(s.wal, payload)
-		if err == nil {
-			s.walOps++
-			s.walBytes += 8 + int64(len(payload))
-			switch s.mode {
-			case SyncCommit:
-				s.syncs++
-				t0 := time.Now()
-				//clamshell:blocking-ok commit mode acknowledges only durable ops; the fsync must precede the unlock
-				if err = s.wal.Sync(); err == nil {
-					lag = time.Since(t0).Seconds()
-					committed = true
-					s.walSynced = s.walBytes
-				}
-			case SyncGroup:
-				s.pendingOps++
-				if !s.dirty {
-					s.dirty = true
-					s.dirtySince = time.Now()
-				}
+		_, err = s.wal.Write(s.rec)
+	}
+	if err == nil {
+		s.walOps++
+		s.walBytes += int64(len(s.rec))
+		switch s.mode {
+		case SyncCommit:
+			s.syncs++
+			t0 := time.Now()
+			//clamshell:blocking-ok commit mode acknowledges only durable ops; the fsync must precede the unlock
+			if err = s.wal.Sync(); err == nil {
+				lag = time.Since(t0).Seconds()
+				committed = true
+				s.walSynced = s.walBytes
 			}
-			if s.mode != SyncGroup {
-				// SyncOff ships everything appended; SyncCommit just synced.
-				s.notifyLocked()
+		case SyncGroup:
+			s.pendingOps++
+			if !s.dirty {
+				s.dirty = true
+				s.dirtySince = time.Now()
 			}
 		}
-		s.mu.Unlock()
+		if s.mode != SyncGroup {
+			// SyncOff ships everything appended; SyncCommit just synced.
+			s.notifyLocked()
+		}
 	}
+	if cap(s.rec) > maxKeptRec {
+		s.rec = nil
+	}
+	s.mu.Unlock()
 	if committed {
 		s.lagRec.Record(lag)
 		s.batchRec.Record(1)

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"github.com/clamshell/clamshell/internal/journal"
+	"github.com/clamshell/clamshell/internal/journal/journaltest"
 )
 
 // The crash-recovery property: sever the journal at ANY byte — every
@@ -27,7 +28,9 @@ import (
 // for each checkpoint, clone the store directory, truncate the wal at the
 // checkpoint's record boundary, recover a fresh shard and require its
 // exported state to be byte-identical to the checkpoint. Torn writes and
-// bit flips must land exactly on the preceding boundary's state.
+// bit flips must land exactly on the preceding boundary's state. The sweep
+// covers both record kinds: once over the binary records as written, once
+// over a copy whose first half is rewritten as v1 (JSON) records.
 
 // severCheckpoint pairs a wal position with the expected durable state.
 type severCheckpoint struct {
@@ -312,61 +315,80 @@ func TestCrashRecoveryProperty(t *testing.T) {
 		rcfg := cfg
 		rcfg.Now = func() time.Time { return now }
 
-		walPath := filepath.Join(dir, journal.WALName(finalGen))
-		bounds := walBoundaries(t, walPath)
-
-		// Phase 1: sever at every record boundary that has a checkpoint in
-		// the final generation; recovered state must equal it exactly.
-		// (Checkpoints from earlier generations were verified implicitly:
-		// compaction folded them into the snapshot this recovery loads.)
-		byOps := make(map[uint64][]byte)
-		for _, cp := range cps {
-			if cp.gen == finalGen {
-				byOps[cp.ops] = cp.state
-			}
+		// Sweep the wal as written — binary records — and again as a node
+		// upgraded mid-generation leaves it: the first half of the records
+		// v1, the rest binary.
+		mixed := cloneStoreDir(t, dir, finalGen, -1, -1)
+		records := len(walBoundaries(t, filepath.Join(dir, journal.WALName(finalGen)))) - 1
+		if err := journaltest.DowngradeWAL(filepath.Join(mixed, journal.WALName(finalGen)), records/2); err != nil {
+			t.Fatal(err)
 		}
-		for ops, want := range byOps {
-			if ops >= uint64(len(bounds)) {
-				t.Fatalf("trial %d: checkpoint at %d ops beyond wal's %d records", trial, ops, len(bounds)-1)
-			}
-			clone := cloneStoreDir(t, dir, finalGen, bounds[ops], -1)
-			got := recoverState(t, clone, rcfg)
-			if !bytes.Equal(got, want) {
-				t.Fatalf("trial %d: sever at boundary %d: recovered state diverged\n got: %s\nwant: %s",
-					trial, ops, got, want)
-			}
-			totalChecks++
-		}
-
-		// Phase 2: torn writes. Cutting mid-record (or flipping a byte in
-		// the tail record) must recover exactly the previous boundary's
-		// state: the torn record is dropped, nothing before it is harmed.
-		for k := 0; k+1 < len(bounds); k++ {
-			if rng.Intn(2) != 0 {
-				continue
-			}
-			recLen := bounds[k+1] - bounds[k]
-			cut := bounds[k] + 1 + rng.Int63n(recLen-1)
-			cloneClean := cloneStoreDir(t, dir, finalGen, bounds[k], -1)
-			cloneTorn := cloneStoreDir(t, dir, finalGen, cut, -1)
-			want := recoverState(t, cloneClean, rcfg)
-			if got := recoverState(t, cloneTorn, rcfg); !bytes.Equal(got, want) {
-				t.Fatalf("trial %d: torn write in record %d (cut %d) diverged from boundary state",
-					trial, k, cut)
-			}
-			totalChecks++
-			// Bit flip inside the final record of a truncated log.
-			flipAt := bounds[k] + rng.Int63n(recLen)
-			cloneFlip := cloneStoreDir(t, dir, finalGen, bounds[k+1], flipAt)
-			if got := recoverState(t, cloneFlip, rcfg); !bytes.Equal(got, want) {
-				t.Fatalf("trial %d: bit flip at %d in record %d not dropped cleanly",
-					trial, flipAt, k)
-			}
-			totalChecks++
+		for _, d := range []string{dir, mixed} {
+			totalChecks += severSweep(t, rng, d, finalGen, cps, rcfg)
 		}
 	}
-	if totalChecks < 1000 {
-		t.Fatalf("only %d sever points checked, want >= 1000", totalChecks)
+	if totalChecks < 2000 {
+		t.Fatalf("only %d sever points checked, want >= 2000", totalChecks)
 	}
 	t.Logf("verified %d randomized sever points across %d trials", totalChecks, trials)
+}
+
+// severSweep severs the final wal generation of the store in dir at its
+// record boundaries, mid-record and with bit flips, checks each recovery
+// against the checkpoints, and returns how many sever points it checked.
+func severSweep(t *testing.T, rng *rand.Rand, dir string, finalGen uint64, cps []severCheckpoint, rcfg Config) int {
+	t.Helper()
+	checks := 0
+	bounds := walBoundaries(t, filepath.Join(dir, journal.WALName(finalGen)))
+
+	// Phase 1: sever at every record boundary that has a checkpoint in
+	// the final generation; recovered state must equal it exactly.
+	// (Checkpoints from earlier generations were verified implicitly:
+	// compaction folded them into the snapshot this recovery loads.)
+	byOps := make(map[uint64][]byte)
+	for _, cp := range cps {
+		if cp.gen == finalGen {
+			byOps[cp.ops] = cp.state
+		}
+	}
+	for ops, want := range byOps {
+		if ops >= uint64(len(bounds)) {
+			t.Fatalf("%s: checkpoint at %d ops beyond wal's %d records", dir, ops, len(bounds)-1)
+		}
+		clone := cloneStoreDir(t, dir, finalGen, bounds[ops], -1)
+		got := recoverState(t, clone, rcfg)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: sever at boundary %d: recovered state diverged\n got: %s\nwant: %s",
+				dir, ops, got, want)
+		}
+		checks++
+	}
+
+	// Phase 2: torn writes. Cutting mid-record (or flipping a byte in
+	// the tail record) must recover exactly the previous boundary's
+	// state: the torn record is dropped, nothing before it is harmed.
+	for k := 0; k+1 < len(bounds); k++ {
+		if rng.Intn(2) != 0 {
+			continue
+		}
+		recLen := bounds[k+1] - bounds[k]
+		cut := bounds[k] + 1 + rng.Int63n(recLen-1)
+		cloneClean := cloneStoreDir(t, dir, finalGen, bounds[k], -1)
+		cloneTorn := cloneStoreDir(t, dir, finalGen, cut, -1)
+		want := recoverState(t, cloneClean, rcfg)
+		if got := recoverState(t, cloneTorn, rcfg); !bytes.Equal(got, want) {
+			t.Fatalf("%s: torn write in record %d (cut %d) diverged from boundary state",
+				dir, k, cut)
+		}
+		checks++
+		// Bit flip inside the final record of a truncated log.
+		flipAt := bounds[k] + rng.Int63n(recLen)
+		cloneFlip := cloneStoreDir(t, dir, finalGen, bounds[k+1], flipAt)
+		if got := recoverState(t, cloneFlip, rcfg); !bytes.Equal(got, want) {
+			t.Fatalf("%s: bit flip at %d in record %d not dropped cleanly",
+				dir, flipAt, k)
+		}
+		checks++
+	}
+	return checks
 }
