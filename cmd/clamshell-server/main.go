@@ -7,7 +7,8 @@
 // consistent hashing of their content, workers are pinned to shards on
 // join, and idle shards steal work across the fabric so straggler
 // mitigation stays global. -shards 1 (the default) speaks byte-for-byte
-// the same protocol as the historical single-mutex server.
+// the protocol of the historical single-mutex server (pinned by a golden
+// transcript in internal/fabric).
 //
 // With -persist-dir the fabric journals every durable mutation through a
 // per-shard append-only op log and periodically compacts it into per-shard
@@ -168,10 +169,7 @@ func main() {
 			*confidence, *relabelInterval)
 	}
 	if *wireAddr != "" {
-		l, err := net.Listen("tcp", *wireAddr)
-		if err != nil {
-			log.Fatalf("wire listener: %v", err)
-		}
+		l := listen("wire", *wireAddr)
 		scheme := "wire"
 		if *wireTLSCert != "" || *wireTLSKey != "" {
 			cert, err := tls.LoadX509KeyPair(*wireTLSCert, *wireTLSKey)
@@ -184,7 +182,7 @@ func main() {
 		ws := wire.NewServer(fab)
 		ws.RateLimit = *wireRate
 		ws.Barrier = fab.ReplBarrier()
-		log.Printf("%s protocol listening on %s (rate limit %g ops/s/conn)", scheme, *wireAddr, *wireRate)
+		log.Printf("%s protocol listening on %s (rate limit %g ops/s/conn)", scheme, l.Addr(), *wireRate)
 		go func() {
 			// A permanently broken wire listener degrades the server to
 			// HTTP-only rather than killing the live shard state with it
@@ -197,6 +195,28 @@ func main() {
 	if *nodeCount > 1 {
 		log.Printf("fabric node %d/%d: serving ids congruent to %d mod %d", *nodeIndex, *nodeCount, *nodeIndex, *nodeCount)
 	}
-	log.Printf("clamshell-server listening on %s (%d shard(s))", *addr, fab.NumShards())
-	log.Fatal(http.ListenAndServe(*addr, fab))
+	l := listen("http", *addr)
+	log.Printf("clamshell-server listening on %s (%d shard(s))", l.Addr(), fab.NumShards())
+	serveHTTP(l, fab)
+}
+
+// readHeaderTimeout bounds how long an HTTP connection may take to send
+// its request headers, so a silent peer cannot pin a serving goroutine —
+// the HTTP counterpart of the wire listener's handshake timeout.
+const readHeaderTimeout = 10 * time.Second
+
+// listen binds addr for the named listener, exiting on failure. Every role
+// logs the bound l.Addr(), not the flag, so -addr :0 reports the real port.
+func listen(what, addr string) net.Listener {
+	l, err := net.Listen("tcp", addr)
+	if err != nil {
+		log.Fatalf("%s listener: %v", what, err)
+	}
+	return l
+}
+
+// serveHTTP serves h on l, exiting the process when serving stops.
+func serveHTTP(l net.Listener, h http.Handler) {
+	srv := &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout}
+	log.Fatal(srv.Serve(l))
 }

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"log"
 	"net"
@@ -39,20 +38,18 @@ func runRouter(httpAddr, wireAddr, nodes string) {
 	}
 	rt := fabric.NewRouter(remotes, nil)
 	if wireAddr != "" {
-		l, err := net.Listen("tcp", wireAddr)
-		if err != nil {
-			log.Fatalf("wire listener: %v", err)
-		}
+		l := listen("wire", wireAddr)
 		ws := wire.NewServer(rt)
-		log.Printf("wire protocol listening on %s (routing)", wireAddr)
+		log.Printf("wire protocol listening on %s (routing)", l.Addr())
 		go func() {
 			if err := ws.Serve(l); err != nil && !wire.IsClosed(err) {
 				log.Printf("wire server stopped (continuing HTTP-only): %v", err)
 			}
 		}()
 	}
-	log.Printf("clamshell-server routing on %s over %d node(s): %s", httpAddr, len(remotes), nodes)
-	log.Fatal(http.ListenAndServe(httpAddr, rt))
+	l := listen("http", httpAddr)
+	log.Printf("clamshell-server routing on %s over %d node(s): %s", l.Addr(), len(remotes), nodes)
+	serveHTTP(l, rt)
 }
 
 // followerState is the -follow role: a running journal mirror plus
@@ -113,8 +110,10 @@ func runFollower(httpAddr, primaryAddr string, cfg server.Config, persist fabric
 		}
 		mux.ServeHTTP(w, r)
 	})
-	log.Printf("clamshell-server following %s into %s (POST /api/promote to take over)", primaryAddr, persist.Dir)
-	log.Fatal(http.ListenAndServe(httpAddr, root))
+	l := listen("http", httpAddr)
+	log.Printf("clamshell-server on %s following %s into %s (POST /api/promote to take over)",
+		l.Addr(), primaryAddr, persist.Dir)
+	serveHTTP(l, root)
 }
 
 // lagMS is milliseconds since the last completed pull (0 before attach).
@@ -134,7 +133,7 @@ func (fs *followerState) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if promoted {
 		role = "primary"
 	}
-	writeJSONTo(w, map[string]any{
+	server.WriteJSON(w, http.StatusOK, map[string]any{
 		"ok":                 true,
 		"role":               role,
 		"uptime_ms":          time.Since(fs.startedAt).Milliseconds(),
@@ -166,7 +165,7 @@ func (fs *followerState) handlePromote(w http.ResponseWriter, r *http.Request) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	if fs.promoted != nil {
-		writeJSONTo(w, map[string]any{"ok": true, "role": "primary", "already": true, "shards": fs.fol.Shards()})
+		server.WriteJSON(w, http.StatusOK, map[string]any{"ok": true, "role": "primary", "already": true, "shards": fs.fol.Shards()})
 		return
 	}
 	fs.fol.Stop()
@@ -197,16 +196,11 @@ func (fs *followerState) handlePromote(w http.ResponseWriter, r *http.Request) {
 					log.Printf("wire server stopped (continuing HTTP-only): %v", err)
 				}
 			}()
-			log.Printf("promotion: wire protocol listening on %s", fs.wireAddr)
+			log.Printf("promotion: wire protocol listening on %s", l.Addr())
 		}
 	}
 	fs.promoted = fab
 	log.Printf("promoted: serving %d shard(s) recovered from %s as node %d/%d",
 		shards, fs.persist.Dir, fs.nodeIndex, fs.nodeCount)
-	writeJSONTo(w, map[string]any{"ok": true, "role": "primary", "shards": shards})
-}
-
-func writeJSONTo(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(v)
+	server.WriteJSON(w, http.StatusOK, map[string]any{"ok": true, "role": "primary", "shards": shards})
 }

@@ -1,5 +1,6 @@
 // Liveserver: the routing-server path end to end, in one process. The
-// retainer-pool HTTP server is started on a local port; a small swarm of
+// retainer-pool HTTP server — a 1-shard fabric, the same server
+// clamshell-server runs — is started on a local port; a small swarm of
 // simulated worker clients joins the pool, polls for work, labels with
 // human-like noise and latency, and occasionally straggles — at which point
 // the server hands speculative duplicates to idle workers and the first
@@ -17,14 +18,15 @@ import (
 	"sync"
 	"time"
 
+	"github.com/clamshell/clamshell/internal/fabric"
 	"github.com/clamshell/clamshell/internal/server"
 )
 
 func main() {
-	srv := server.New(server.Config{
+	srv := fabric.New(server.Config{
 		SpeculationLimit:     1,
 		MaintenanceThreshold: 300 * time.Millisecond, // retire slow workers
-	})
+	}, 1)
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	fmt.Printf("routing server listening at %s\n", ts.URL)

@@ -32,7 +32,7 @@ func (f *Fabric) handleStatus(w http.ResponseWriter, r *http.Request) {
 		total.Terminated += c.Terminated
 		total.Retired += c.Retired
 	}
-	writeJSON(w, http.StatusOK, map[string]int{
+	server.WriteJSON(w, http.StatusOK, map[string]int{
 		"tasks":      total.Tasks,
 		"complete":   total.Complete,
 		"workers":    total.Workers,
@@ -50,7 +50,7 @@ func (f *Fabric) handleWorkers(w http.ResponseWriter, r *http.Request) {
 		f.release(sh)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	writeJSON(w, http.StatusOK, out)
+	server.WriteJSON(w, http.StatusOK, out)
 }
 
 // handleCosts sums the accumulated spend across shards, including wait pay
@@ -61,7 +61,7 @@ func (f *Fabric) handleCosts(w http.ResponseWriter, r *http.Request) {
 		acct = acct.Add(sh.AccruedCosts())
 		f.release(sh) // AccruedCosts expires stale workers, which can orphan steals
 	}
-	writeJSON(w, http.StatusOK, map[string]float64{
+	server.WriteJSON(w, http.StatusOK, map[string]float64{
 		"wait_pay_dollars":       acct.WaitPay.Dollars(),
 		"work_pay_dollars":       acct.WorkPay.Dollars(),
 		"terminated_pay_dollars": acct.TerminatedPay.Dollars(),
@@ -159,12 +159,12 @@ func (f *Fabric) handleConsensus(w http.ResponseWriter, r *http.Request) {
 	}
 	sort.Ints(modelTasks)
 	resp.ModelTasks = modelTasks
-	writeJSON(w, http.StatusOK, resp)
+	server.WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleHealthz is the liveness probe. With the journal engine enabled it
 // also reports durability health (the response stays byte-identical to the
-// single server's when persistence is off).
+// historical single-pool one when persistence is off).
 func (f *Fabric) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	resp := map[string]any{
 		"ok":        true,
@@ -177,7 +177,7 @@ func (f *Fabric) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if rp := f.repl.Load(); rp != nil && rp.tracker.Attached() {
 		resp["replication_lag_ms"] = f.replLagMS(rp)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	server.WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleMetricsz renders the fabric-wide metrics page (served at both

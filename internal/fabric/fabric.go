@@ -15,10 +15,16 @@
 //   - aggregates status, worker stats, accounting, cross-task consensus
 //     and snapshot persistence across shards.
 //
+// A fabric is a node's one HTTP server: every endpoint — the hot protocol
+// ops (server.RegisterCoreRoutes) and the aggregate status, workers, costs,
+// consensus, snapshot/restore, health and metrics views — has exactly one
+// implementation, and a 1-shard fabric (New(cfg, 1)) is the single-pool
+// deployment. Its protocol is pinned byte-for-byte by a golden transcript
+// recorded from the historical single-mutex server (compat_test.go).
+//
 // Ids are globally unique and shard-addressable: shard s of n allocates
 // ids ≡ s+1 (mod n), so routing an id to its shard is (id-1) mod n with no
-// shared state. A 1-shard fabric speaks byte-for-byte the same protocol as
-// internal/server (pinned by this package's compat test).
+// shared state.
 //
 // Shard methods never call across shards, so the router sequences
 // cross-shard operations (a stolen fetch, a submit whose worker and task
@@ -27,7 +33,6 @@
 package fabric
 
 import (
-	"encoding/json"
 	"net/http"
 	"sync/atomic"
 	"time"
@@ -36,8 +41,7 @@ import (
 	"github.com/clamshell/clamshell/internal/server"
 )
 
-// Fabric is a sharded retainer-pool router. It implements http.Handler
-// with the same API surface as internal/server.
+// Fabric is a sharded retainer-pool router. It implements http.Handler.
 type Fabric struct {
 	cfg       server.Config
 	shards    []*server.Shard
@@ -197,14 +201,7 @@ func (f *Fabric) release(sh *server.Shard) {
 	}
 }
 
-// writeJSON and writeErr mirror internal/server's encoders exactly —
-// responses must be byte-identical for a 1-shard fabric.
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
-}
-
+// writeErr serves an error as the protocol's {"error": ...} JSON body.
 func writeErr(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, map[string]string{"error": err.Error()})
+	server.WriteJSON(w, status, map[string]string{"error": err.Error()})
 }

@@ -8,8 +8,8 @@ import (
 // layer behind both the JSON/HTTP shim (server.RegisterCoreRoutes) and the
 // binary wire transport (internal/wire). Each op routes by the id→shard
 // mapping and composes exported Shard operations; error precedence and
-// outcomes match the single-shard Core exactly (internal/fabric's compat
-// test pins the HTTP surface byte-for-byte).
+// outcomes match the bare-shard Core exactly (the golden compat transcript
+// pins the HTTP surface byte-for-byte).
 
 // CoreJoin pins the worker to a home shard and admits it. Placement is
 // power-of-two-choices on current pool size: the round-robin candidate is

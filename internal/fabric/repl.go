@@ -134,7 +134,7 @@ func (f *Fabric) ReplBarrier() func() {
 }
 
 // SnapshotBytes implements wire.SnapshotSource: the merged fabric state
-// in the single-server snapshot codec (what /api/snapshot serves).
+// in the snapshot codec (what /api/snapshot serves).
 func (f *Fabric) SnapshotBytes() ([]byte, error) { return f.Snapshot() }
 
 // ReplRead implements wire.ReplSource: serve one replication pull against

@@ -202,7 +202,7 @@ func (rt *Router) CoreResult(taskID int) (server.TaskStatus, bool) {
 }
 
 // Snapshot merges every node's snapshot document into one fabric-wide
-// document in the single-server codec.
+// document in the snapshot codec.
 func (rt *Router) Snapshot() ([]byte, error) {
 	states := make([]server.SnapshotState, 0, len(rt.nodes))
 	for _, node := range rt.nodes {
@@ -240,7 +240,7 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			reachable++
 		}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	server.WriteJSON(w, http.StatusOK, map[string]any{
 		"ok":              reachable > 0,
 		"role":            "router",
 		"uptime_ms":       rt.now().Sub(rt.startedAt).Milliseconds(),

@@ -10,18 +10,18 @@ import (
 	"github.com/clamshell/clamshell/internal/server"
 )
 
-// Fabric-wide persistence facade. The wire format is exactly the single
-// server's snapshot: per-shard states merge into one document on the way
-// out and split back across shards on the way in. Because restore routes
-// each task by the universal (id-1) mod n rule and shard id counters
-// realign to their stripe past any restored id, a snapshot taken on an
-// n-shard fabric restores cleanly onto an m-shard fabric (or a plain
-// server) for any n and m — resizing the fabric is a snapshot/restore
-// away. The journal engine's resize-on-restore path (persist.go) rides the
-// same merge/split helpers.
+// Fabric-wide persistence facade. The wire format is exactly one shard's
+// snapshot (server.EncodeSnapshot): per-shard states merge into one
+// document on the way out and split back across shards on the way in.
+// Because restore routes each task by the universal (id-1) mod n rule and
+// shard id counters realign to their stripe past any restored id, a
+// snapshot taken on an n-shard fabric restores cleanly onto an m-shard
+// fabric for any n and m — resizing the fabric is a snapshot/restore away.
+// The journal engine's resize-on-restore path (persist.go) rides the same
+// merge/split helpers.
 
 // mergeStates folds per-shard durable states into one document in the
-// single-server wire format. Global submission order is not tracked across
+// snapshot wire format. Global submission order is not tracked across
 // shards; id order is the best-effort merge (per-shard FIFO is preserved
 // because each shard allocates monotonically within its stripe).
 func mergeStates(states []server.SnapshotState) server.SnapshotState {
@@ -82,7 +82,7 @@ func splitState(st server.SnapshotState, n int) []server.SnapshotState {
 }
 
 // Snapshot merges every shard's durable state into one document in the
-// single-server wire format.
+// snapshot wire format.
 func (f *Fabric) Snapshot() ([]byte, error) {
 	if len(f.shards) == 1 {
 		return f.shards[0].Snapshot()
@@ -149,5 +149,5 @@ func (f *Fabric) handleRestore(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]bool{"ok": true})
+	server.WriteJSON(w, http.StatusOK, map[string]bool{"ok": true})
 }

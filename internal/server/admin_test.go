@@ -1,15 +1,30 @@
-package server
+package server_test
 
 import (
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/clamshell/clamshell/internal/fabric"
+	"github.com/clamshell/clamshell/internal/server"
 )
+
+// The admin endpoints (health, metrics, consensus, the worker UI) have one
+// implementation, the fabric's; these tests drive them on a 1-shard fabric,
+// the node's HTTP server.
+
+// newNode serves a 1-shard fabric and returns a client for it.
+func newNode(t *testing.T, cfg server.Config) *server.Client {
+	t.Helper()
+	ts := httptest.NewServer(fabric.New(cfg, 1))
+	t.Cleanup(ts.Close)
+	return server.NewClient(ts.URL)
+}
 
 func TestHealthzReportsUptime(t *testing.T) {
 	now := time.Unix(1000, 0)
-	s, c := startServer(t, Config{Now: func() time.Time { return now }})
-	_ = s
+	c := newNode(t, server.Config{Now: func() time.Time { return now }})
 	r, err := c.HTTP.Get(c.BaseURL + "/api/healthz")
 	if err != nil {
 		t.Fatal(err)
@@ -23,10 +38,10 @@ func TestHealthzReportsUptime(t *testing.T) {
 func TestMetricszExposesCountersAndQuantiles(t *testing.T) {
 	now := time.Unix(1000, 0)
 	clock := func() time.Time { return now }
-	_, c := startServer(t, Config{Now: clock})
+	c := newNode(t, server.Config{Now: clock})
 
 	wid, _ := c.Join("w")
-	c.SubmitTasks([]TaskSpec{
+	c.SubmitTasks([]server.TaskSpec{
 		{Records: []string{"a", "b"}, Classes: 2},
 		{Records: []string{"c"}, Classes: 2},
 	})
@@ -65,9 +80,9 @@ func TestMetricszExposesCountersAndQuantiles(t *testing.T) {
 
 func TestMetricszLatencyQuantileValue(t *testing.T) {
 	now := time.Unix(1000, 0)
-	_, c := startServer(t, Config{Now: func() time.Time { return now }})
+	c := newNode(t, server.Config{Now: func() time.Time { return now }})
 	wid, _ := c.Join("w")
-	c.SubmitTasks([]TaskSpec{{Records: []string{"a"}, Classes: 2}})
+	c.SubmitTasks([]server.TaskSpec{{Records: []string{"a"}, Classes: 2}})
 	a, _, _ := c.FetchTask(wid)
 	now = now.Add(6 * time.Second)
 	c.Submit(wid, a.TaskID, []int{0})

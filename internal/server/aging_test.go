@@ -18,7 +18,7 @@ func TestTallyAging(t *testing.T) {
 	now := time.Date(2015, 9, 20, 12, 0, 0, 0, time.UTC)
 	clock := func() time.Time { return now }
 	dir := t.TempDir()
-	s, c := startServer(t, Config{Now: clock, WorkerTimeout: time.Hour, TallyHorizon: 2 * time.Hour})
+	c, s := newTestServer(t, Config{Now: clock, WorkerTimeout: time.Hour, TallyHorizon: 2 * time.Hour})
 	st, rec, err := journal.Open(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -83,10 +83,7 @@ func TestTallyAging(t *testing.T) {
 	}
 
 	// The scrape surface counts the aging.
-	page, err := c.Metrics()
-	if err != nil {
-		t.Fatal(err)
-	}
+	page := string(BuildMetricsPage([]ShardMetrics{s.MetricsState()}, s.Obs(), nil).RenderPrometheus())
 	if !strings.Contains(page, "clamshell_tallies_aged_total 1") {
 		t.Fatalf("metrics missing aged counter:\n%s", page)
 	}
@@ -101,7 +98,7 @@ func TestTallyAging(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st2.Close()
-	s2, c2 := startServer(t, Config{Now: clock, TallyHorizon: 2 * time.Hour})
+	c2, s2 := newTestServer(t, Config{Now: clock, TallyHorizon: 2 * time.Hour})
 	if err := s2.RecoverFrom(st2, rec2); err != nil {
 		t.Fatal(err)
 	}

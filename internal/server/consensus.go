@@ -2,17 +2,13 @@ package server
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
-	"sort"
-
-	"github.com/clamshell/clamshell/internal/quality"
-	"github.com/clamshell/clamshell/internal/stats"
 )
 
 // Cross-task consensus: GET /api/consensus?estimator=majority|em|kos
-// aggregates every answer on the server into one vote graph and returns
+// (served by internal/fabric from every shard's Votes and TaskMeta)
+// aggregates every answer on the node into one vote graph and returns
 // per-task consensus labels under the chosen estimator. Unlike
 // /api/result, which aggregates each task's own quorum in isolation, the
 // graph estimators (EM, KOS) pool evidence across tasks: a worker who
@@ -35,115 +31,6 @@ type ConsensusResponse struct {
 	// still reflects human votes only, so the graph estimators keep judging
 	// workers against humans, not against the model's own output.
 	ModelTasks []int `json:"model_tasks,omitempty"`
-}
-
-// handleConsensus aggregates all answers under the requested estimator.
-func (s *Server) handleConsensus(w http.ResponseWriter, r *http.Request) {
-	estimator := r.URL.Query().Get("estimator")
-	if estimator == "" {
-		estimator = "majority"
-	}
-
-	s.mu.Lock()
-	votes, stride, classes := s.voteGraph()
-	order := append([]int(nil), s.order...)
-	records := make(map[int]int, len(s.tasks)+len(s.tallies))
-	for id, u := range s.tasks {
-		records[id] = len(u.spec.Records)
-	}
-	for id, t := range s.tallies {
-		records[id] = t.Records
-	}
-	var modelTasks []int
-	for id, u := range s.tasks {
-		if u.model {
-			modelTasks = append(modelTasks, id)
-		}
-	}
-	for id, t := range s.tallies {
-		if t.Model {
-			modelTasks = append(modelTasks, id)
-		}
-	}
-	sort.Ints(modelTasks)
-	seed := int64(s.nextTask)*1e6 + int64(len(votes))
-	s.mu.Unlock()
-
-	var labels map[int]int
-	scores := map[int]float64{}
-	switch estimator {
-	case "majority":
-		labels = quality.MajorityLabels(votes)
-	case "em":
-		res := quality.EstimateAccuracy(votes, classes, 20)
-		labels = res.Labels
-		for id, a := range res.Accuracies {
-			scores[int(id)] = a
-		}
-	case "kos":
-		if classes > 2 {
-			writeErr(w, http.StatusBadRequest,
-				fmt.Errorf("kos estimator requires binary tasks; server has %d classes", classes))
-			return
-		}
-		res := quality.KOS(votes, 10, stats.NewRand(seed))
-		labels = res.Labels
-		for id, rel := range res.Reliability {
-			scores[int(id)] = rel
-		}
-	default:
-		writeErr(w, http.StatusBadRequest,
-			errors.New("unknown estimator (want majority, em or kos)"))
-		return
-	}
-
-	resp := ConsensusResponse{Estimator: estimator, Labels: make(map[int][]int, len(order))}
-	for _, tid := range order {
-		n := records[tid]
-		out := make([]int, n)
-		any := false
-		for rec := 0; rec < n; rec++ {
-			if l, ok := labels[tid*stride+rec]; ok {
-				out[rec] = l
-				any = true
-			} else {
-				out[rec] = -1
-			}
-		}
-		if any {
-			resp.Labels[tid] = out
-		}
-	}
-	if estimator != "majority" {
-		resp.WorkerScores = scores
-	}
-	resp.ModelTasks = modelTasks
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// voteGraph flattens every answer on the server — live tasks and retained
-// tallies alike — into per-record votes. Record rec of task tid becomes
-// item tid*stride + rec. Callers hold mu.
-func (s *Shard) voteGraph() (votes []quality.Vote, stride, classes int) {
-	stride = 1
-	classes = 2
-	for _, u := range s.tasks {
-		if len(u.spec.Records) > stride {
-			stride = len(u.spec.Records)
-		}
-		if u.spec.Classes > classes {
-			classes = u.spec.Classes
-		}
-	}
-	for _, t := range s.tallies {
-		if t.Records > stride {
-			stride = t.Records
-		}
-		if t.Classes > classes {
-			classes = t.Classes
-		}
-	}
-	return s.flattenVotes(stride), stride, classes
 }
 
 // Consensus fetches cross-task consensus labels from the server under the

@@ -1,20 +1,22 @@
-package server
+package server_test
 
 import (
 	"math/rand"
 	"testing"
+
+	"github.com/clamshell/clamshell/internal/server"
 )
 
-// runHostileCrowd drives a crowd through the HTTP API: nTasks binary
+// runHostileCrowd drives a crowd through a 1-shard fabric's HTTP API: nTasks binary
 // single-record tasks at quorum 4, answered by two reliable workers, one
 // adversary (always wrong) and one spammer (random) — net-informative
 // (mean accuracy 0.625 > 1/2), the identifiability condition every
 // unsupervised estimator needs, but noisy enough that per-task majority
 // voting suffers (2-2 ties whenever the coin lands with the adversary).
 // Returns the client and the ground truth per task id.
-func runHostileCrowd(t *testing.T, nTasks int) (*Client, map[int]int) {
+func runHostileCrowd(t *testing.T, nTasks int) (*server.Client, map[int]int) {
 	t.Helper()
-	_, c := startServer(t, Config{})
+	c := newNode(t, server.Config{})
 
 	good1, err := c.Join("good1")
 	if err != nil {
@@ -24,11 +26,11 @@ func runHostileCrowd(t *testing.T, nTasks int) (*Client, map[int]int) {
 	adversary, _ := c.Join("adversary")
 	spammer, _ := c.Join("spammer")
 
-	specs := make([]TaskSpec, nTasks)
+	specs := make([]server.TaskSpec, nTasks)
 	rng := rand.New(rand.NewSource(99))
 	truth := make(map[int]int, nTasks)
 	for i := range specs {
-		specs[i] = TaskSpec{Records: []string{"item"}, Classes: 2, Quorum: 4}
+		specs[i] = server.TaskSpec{Records: []string{"item"}, Classes: 2, Quorum: 4}
 	}
 	ids, err := c.SubmitTasks(specs)
 	if err != nil {
@@ -144,9 +146,9 @@ func TestConsensusWorkerScores(t *testing.T) {
 }
 
 func TestConsensusMajorityMatchesPerTaskResult(t *testing.T) {
-	_, c := startServer(t, Config{})
+	c := newNode(t, server.Config{})
 	wid, _ := c.Join("w")
-	ids, _ := c.SubmitTasks([]TaskSpec{{Records: []string{"a", "b"}, Classes: 2, Quorum: 1}})
+	ids, _ := c.SubmitTasks([]server.TaskSpec{{Records: []string{"a", "b"}, Classes: 2, Quorum: 1}})
 	a, _, _ := c.FetchTask(wid)
 	c.Submit(wid, a.TaskID, []int{1, 0})
 
@@ -168,15 +170,15 @@ func TestConsensusMajorityMatchesPerTaskResult(t *testing.T) {
 }
 
 func TestConsensusRejectsBadEstimator(t *testing.T) {
-	_, c := startServer(t, Config{})
+	c := newNode(t, server.Config{})
 	if _, err := c.Consensus("bogus"); err == nil {
 		t.Fatal("unknown estimator should be rejected")
 	}
 }
 
 func TestConsensusKOSRejectsMulticlass(t *testing.T) {
-	_, c := startServer(t, Config{})
-	c.SubmitTasks([]TaskSpec{{Records: []string{"a"}, Classes: 3, Quorum: 1}})
+	c := newNode(t, server.Config{})
+	c.SubmitTasks([]server.TaskSpec{{Records: []string{"a"}, Classes: 3, Quorum: 1}})
 	if _, err := c.Consensus("kos"); err == nil {
 		t.Fatal("kos on a 3-class server should be rejected")
 	}

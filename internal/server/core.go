@@ -6,10 +6,10 @@ import "errors"
 // transport — the JSON/HTTP facade in httpapi.go, the binary wire protocol
 // in internal/wire — is a thin shim over this interface: typed request
 // values in, typed results out, no http.Request (or net.Conn) below the
-// shim. A standalone Shard implements it directly under one lock per op;
-// internal/fabric implements it by routing across shards. Keeping both
-// behind one API is what lets a 1-shard fabric, the single server, and the
-// wire transport stay protocol-identical by construction.
+// shim. A bare Shard implements it directly under one lock per op (the
+// wire and replication tests serve one); internal/fabric implements it by
+// routing across shards. Keeping both behind one API is what lets every
+// transport stay protocol-identical by construction.
 type Core interface {
 	// CoreJoin admits a worker and returns its globally-unique id.
 	CoreJoin(name string) int
@@ -81,10 +81,9 @@ var (
 
 // --- single-shard Core implementation ---
 //
-// A standalone Shard (and therefore Server, which embeds one) is its own
-// router: every op runs under the shard's one lock, monolithically, where
-// the fabric composes the same internals across shards as separate lock
-// acquisitions.
+// A bare Shard is its own router: every op runs under the shard's one
+// lock, monolithically, where the fabric composes the same internals
+// across shards as separate lock acquisitions.
 
 // CoreJoin implements Core.
 //
@@ -209,7 +208,7 @@ func (s *Shard) CoreFetch(workerID int) (Assignment, FetchDisposition) {
 
 // CoreSubmit implements Core, composing the same exported halves the fabric
 // router uses — AcceptAnswer (task side) then FinishAssignment (worker
-// side) — so the single-server path cannot drift from the fabric-routed one
+// side) — so the bare-shard path cannot drift from the fabric-routed one
 // (pay, journaling, replay idempotency).
 //
 //clamshell:hotpath

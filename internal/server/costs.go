@@ -1,14 +1,13 @@
 package server
 
 import (
-	"net/http"
 	"time"
 
 	"github.com/clamshell/clamshell/internal/journal"
 	"github.com/clamshell/clamshell/internal/metrics"
 )
 
-// accountingT aliases metrics.Accounting (see Server.costs).
+// accountingT aliases metrics.Accounting (see Shard.costs).
 type accountingT = metrics.Accounting
 
 // Live-server cost accounting, mirroring the simulator's: retained workers
@@ -65,18 +64,4 @@ func (s *Shard) payWork(records int, terminated bool) metrics.Cost {
 		s.costs.WorkPay += amount
 	}
 	return amount
-}
-
-// handleCosts reports the accumulated spend, including wait pay accrued up
-// to now for currently idle workers — Shard.AccruedCosts, which also
-// expires stale workers first so they stop billing. A standalone server
-// never produces orphans, so there is nothing to drain afterwards.
-func (s *Server) handleCosts(w http.ResponseWriter, r *http.Request) {
-	acct := s.AccruedCosts()
-	writeJSON(w, http.StatusOK, map[string]float64{
-		"wait_pay_dollars":       acct.WaitPay.Dollars(),
-		"work_pay_dollars":       acct.WorkPay.Dollars(),
-		"terminated_pay_dollars": acct.TerminatedPay.Dollars(),
-		"total_dollars":          acct.Total().Dollars(),
-	})
 }

@@ -1,30 +1,15 @@
 package server
 
 import (
-	"encoding/json"
 	"math"
 	"testing"
 	"time"
 )
 
-func fetchCosts(t *testing.T, c *Client) map[string]float64 {
-	t.Helper()
-	r, err := c.HTTP.Get(c.BaseURL + "/api/costs")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Body.Close()
-	var out map[string]float64
-	if err := json.NewDecoder(r.Body).Decode(&out); err != nil {
-		t.Fatal(err)
-	}
-	return out
-}
-
 func TestCostsWaitPayAccrues(t *testing.T) {
 	now := time.Date(2015, 9, 20, 12, 0, 0, 0, time.UTC)
 	clock := func() time.Time { return now }
-	c, _ := newTestServer(t, Config{Now: clock})
+	c, s := newTestServer(t, Config{Now: clock})
 	id, _ := c.Join("idler")
 	// A live idler heartbeats; ten one-minute waits accrue in full.
 	for i := 0; i < 10; i++ {
@@ -33,41 +18,39 @@ func TestCostsWaitPayAccrues(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	costs := fetchCosts(t, c)
+	costs := s.AccruedCosts()
 	// $.05/min x 10 min = $0.50.
-	if math.Abs(costs["wait_pay_dollars"]-0.5) > 1e-6 {
-		t.Fatalf("wait pay = %v, want 0.5", costs["wait_pay_dollars"])
+	if math.Abs(costs.WaitPay.Dollars()-0.5) > 1e-6 {
+		t.Fatalf("wait pay = %v, want 0.5", costs.WaitPay.Dollars())
 	}
 }
 
-// A worker that stops heartbeating must stop billing wait pay: /api/costs
-// expires stale workers before accruing, and a dead worker's wait span is
+// A worker that stops heartbeating must stop billing wait pay: the
+// /api/costs accrual (Shard.AccruedCosts) expires stale workers first, and a dead worker's wait span is
 // clipped at the moment its liveness lapsed (last heartbeat + timeout) —
 // not at whenever the expiry happened to be noticed.
 func TestCostsDeadWorkerWaitPayCutoff(t *testing.T) {
 	now := time.Date(2015, 9, 20, 12, 0, 0, 0, time.UTC)
 	clock := func() time.Time { return now }
-	c, _ := newTestServer(t, Config{Now: clock, WorkerTimeout: 2 * time.Minute})
+	c, s := newTestServer(t, Config{Now: clock, WorkerTimeout: 2 * time.Minute})
 	c.Join("ghost")
 	// The ghost never heartbeats again. An hour later, the first costs call
 	// must bill only the 2 minutes of provable liveness, not the hour.
 	now = now.Add(time.Hour)
-	costs := fetchCosts(t, c)
-	if math.Abs(costs["wait_pay_dollars"]-0.10) > 1e-6 {
-		t.Fatalf("wait pay = %v, want 0.10 (join to liveness lapse only)", costs["wait_pay_dollars"])
+	if wait := s.AccruedCosts().WaitPay.Dollars(); math.Abs(wait-0.10) > 1e-6 {
+		t.Fatalf("wait pay = %v, want 0.10 (join to liveness lapse only)", wait)
 	}
 	// The accrual is settled, not per-view: asking again later adds nothing.
 	now = now.Add(time.Hour)
-	costs = fetchCosts(t, c)
-	if math.Abs(costs["wait_pay_dollars"]-0.10) > 1e-6 {
-		t.Fatalf("wait pay after second view = %v, want 0.10", costs["wait_pay_dollars"])
+	if wait := s.AccruedCosts().WaitPay.Dollars(); math.Abs(wait-0.10) > 1e-6 {
+		t.Fatalf("wait pay after second view = %v, want 0.10", wait)
 	}
 }
 
 func TestCostsWorkAndTerminatedPay(t *testing.T) {
 	now := time.Date(2015, 9, 20, 12, 0, 0, 0, time.UTC)
 	clock := func() time.Time { return now }
-	c, _ := newTestServer(t, Config{Now: clock, SpeculationLimit: 1})
+	c, s := newTestServer(t, Config{Now: clock, SpeculationLimit: 1})
 	ids, _ := c.SubmitTasks([]TaskSpec{{Records: []string{"a", "b", "c"}, Classes: 2}})
 
 	w1, _ := c.Join("winner")
@@ -77,15 +60,15 @@ func TestCostsWorkAndTerminatedPay(t *testing.T) {
 	c.Submit(w1, ids[0], []int{0, 1, 0})
 	c.Submit(w2, ids[0], []int{1, 1, 1}) // terminated but paid
 
-	costs := fetchCosts(t, c)
+	costs := s.AccruedCosts()
 	// 3 records at $.02 each, for both completed and terminated.
-	if math.Abs(costs["work_pay_dollars"]-0.06) > 1e-6 {
-		t.Fatalf("work pay = %v, want 0.06", costs["work_pay_dollars"])
+	if math.Abs(costs.WorkPay.Dollars()-0.06) > 1e-6 {
+		t.Fatalf("work pay = %v, want 0.06", costs.WorkPay.Dollars())
 	}
-	if math.Abs(costs["terminated_pay_dollars"]-0.06) > 1e-6 {
-		t.Fatalf("terminated pay = %v, want 0.06", costs["terminated_pay_dollars"])
+	if math.Abs(costs.TerminatedPay.Dollars()-0.06) > 1e-6 {
+		t.Fatalf("terminated pay = %v, want 0.06", costs.TerminatedPay.Dollars())
 	}
-	if costs["total_dollars"] < costs["work_pay_dollars"]+costs["terminated_pay_dollars"]-1e-9 {
+	if costs.Total().Dollars() < costs.WorkPay.Dollars()+costs.TerminatedPay.Dollars()-1e-9 {
 		t.Fatal("total below components")
 	}
 }
@@ -93,7 +76,7 @@ func TestCostsWorkAndTerminatedPay(t *testing.T) {
 func TestCostsWaitPausesWhileWorking(t *testing.T) {
 	now := time.Date(2015, 9, 20, 12, 0, 0, 0, time.UTC)
 	clock := func() time.Time { return now }
-	c, _ := newTestServer(t, Config{Now: clock})
+	c, s := newTestServer(t, Config{Now: clock})
 	ids, _ := c.SubmitTasks([]TaskSpec{{Records: []string{"a"}, Classes: 2}})
 	w, _ := c.Join("worker")
 	now = now.Add(2 * time.Minute) // waits 2 min
@@ -101,22 +84,24 @@ func TestCostsWaitPausesWhileWorking(t *testing.T) {
 	now = now.Add(30 * time.Minute) // works 30 min: NOT wait-paid
 	c.Submit(w, ids[0], []int{0})
 	now = now.Add(1 * time.Minute) // waits 1 min after
-	costs := fetchCosts(t, c)
 	// 3 minutes of waiting at $.05 = $0.15; plus $0.02 work pay.
-	if math.Abs(costs["wait_pay_dollars"]-0.15) > 1e-6 {
-		t.Fatalf("wait pay = %v, want 0.15 (work time must not accrue)", costs["wait_pay_dollars"])
+	if wait := s.AccruedCosts().WaitPay.Dollars(); math.Abs(wait-0.15) > 1e-6 {
+		t.Fatalf("wait pay = %v, want 0.15 (work time must not accrue)", wait)
 	}
 }
 
 func TestCostsCustomRates(t *testing.T) {
 	now := time.Date(2015, 9, 20, 12, 0, 0, 0, time.UTC)
 	clock := func() time.Time { return now }
-	srv := New(Config{Now: clock, Costs: CostConfig{
+	s := NewShard(Config{Now: clock, Costs: CostConfig{
 		WaitPayPerMin: 10_000,  // $0.01/min
 		RecordPay:     100_000, // $0.10/record
-	}})
-	_ = srv
-	// Rates validated through the default-fill path.
+	}}, 0, 1)
+	// Custom rates survive config normalization.
+	if s.cfg.Costs.WaitPayPerMin.Dollars() != 0.01 || s.cfg.Costs.RecordPay.Dollars() != 0.10 {
+		t.Fatalf("custom rates overwritten: %v %v", s.cfg.Costs.WaitPayPerMin, s.cfg.Costs.RecordPay)
+	}
+	// Zero rates take the defaults through the default-fill path.
 	var cc CostConfig
 	cc.fillDefaults()
 	if cc.WaitPayPerMin.Dollars() != 0.05 || cc.RecordPay.Dollars() != 0.02 {

@@ -177,7 +177,7 @@ func TestDispatchIndexMatchesNaiveScan(t *testing.T) {
 func TestSubmitReplayIdempotent(t *testing.T) {
 	now := time.Date(2015, 9, 20, 12, 0, 0, 0, time.UTC)
 	clock := func() time.Time { return now }
-	c, _ := newTestServer(t, Config{Now: clock})
+	c, s := newTestServer(t, Config{Now: clock})
 	ids, _ := c.SubmitTasks([]TaskSpec{{Records: []string{"a", "b"}, Classes: 2, Quorum: 2}})
 	w1, _ := c.Join("first")
 	w2, _ := c.Join("second")
@@ -188,7 +188,7 @@ func TestSubmitReplayIdempotent(t *testing.T) {
 	if acc, _, err := c.Submit(w1, ids[0], []int{0, 1}); err != nil || !acc {
 		t.Fatalf("first submit: accepted=%v err=%v", acc, err)
 	}
-	base := fetchCosts(t, c)
+	base := s.AccruedCosts()
 
 	// Replay before completion: same acknowledgement, nothing recounted.
 	acc, term, err := c.Submit(w1, ids[0], []int{0, 1})
@@ -198,9 +198,8 @@ func TestSubmitReplayIdempotent(t *testing.T) {
 	if st, _ := c.Result(ids[0]); st.Answers != 1 {
 		t.Fatalf("answers after replay = %d, want 1 (no double vote)", st.Answers)
 	}
-	if costs := fetchCosts(t, c); costs["work_pay_dollars"] != base["work_pay_dollars"] {
-		t.Fatalf("work pay grew on replay: %v -> %v",
-			base["work_pay_dollars"], costs["work_pay_dollars"])
+	if costs := s.AccruedCosts(); costs.WorkPay != base.WorkPay {
+		t.Fatalf("work pay grew on replay: %v -> %v", base.WorkPay, costs.WorkPay)
 	}
 	// The replayed task must not be handed back to its voter either.
 	if _, ok, _ := c.FetchTask(w1); ok {
@@ -225,26 +224,21 @@ func TestSubmitReplayIdempotent(t *testing.T) {
 	if st, _ := c.Result(ids[0]); st.Answers != 2 {
 		t.Fatalf("answers = %d, want 2", st.Answers)
 	}
-	costs := fetchCosts(t, c)
-	if costs["terminated_pay_dollars"] != 0 {
-		t.Fatalf("terminated pay = %v, want 0 (replays are not stragglers)",
-			costs["terminated_pay_dollars"])
+	costs := s.AccruedCosts()
+	if costs.TerminatedPay != 0 {
+		t.Fatalf("terminated pay = %v, want 0 (replays are not stragglers)", costs.TerminatedPay.Dollars())
 	}
-	if want := 2 * 2 * 0.02; costs["work_pay_dollars"] != want {
-		t.Fatalf("work pay = %v, want %v (two 2-record answers)", costs["work_pay_dollars"], want)
+	if want := 2 * 2 * 0.02; costs.WorkPay.Dollars() != want {
+		t.Fatalf("work pay = %v, want %v (two 2-record answers)", costs.WorkPay.Dollars(), want)
 	}
-	ws, err := c.Workers()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range ws {
+	for _, w := range s.WorkerList() {
 		if w.Completed != 1 {
 			t.Fatalf("worker %d completed = %d, want 1 (replays must not inflate stats)",
 				w.ID, w.Completed)
 		}
 	}
-	if status, _ := c.Status(); status["terminated"] != 0 {
-		t.Fatalf("terminated counter = %d, want 0", status["terminated"])
+	if n := s.CountersNow().Terminated; n != 0 {
+		t.Fatalf("terminated counter = %d, want 0", n)
 	}
 }
 
@@ -252,7 +246,7 @@ func TestSubmitReplayIdempotent(t *testing.T) {
 // its terminated acknowledgement, and the response was lost) must be
 // re-acknowledged without a second termination payment or counter bump.
 func TestTerminatedReplayIdempotent(t *testing.T) {
-	c, _ := newTestServer(t, Config{SpeculationLimit: 1})
+	c, s := newTestServer(t, Config{SpeculationLimit: 1})
 	ids, _ := c.SubmitTasks([]TaskSpec{{Records: []string{"x"}, Classes: 2}})
 	fast, _ := c.Join("fast")
 	slow, _ := c.Join("slow")
@@ -269,20 +263,18 @@ func TestTerminatedReplayIdempotent(t *testing.T) {
 	if acc, term, _ := c.Submit(slow, ids[0], []int{0}); acc || !term {
 		t.Fatalf("late submit: accepted=%v terminated=%v", acc, term)
 	}
-	base := fetchCosts(t, c)
+	base := s.AccruedCosts()
 	// ...and replays keep getting the same acknowledgement without paying.
 	for i := 0; i < 3; i++ {
 		if acc, term, err := c.Submit(slow, ids[0], []int{0}); err != nil || acc || !term {
 			t.Fatalf("replay %d: accepted=%v terminated=%v err=%v", i, acc, term, err)
 		}
 	}
-	costs := fetchCosts(t, c)
-	if costs["terminated_pay_dollars"] != base["terminated_pay_dollars"] {
-		t.Fatalf("terminated pay grew on replay: %v -> %v",
-			base["terminated_pay_dollars"], costs["terminated_pay_dollars"])
+	if costs := s.AccruedCosts(); costs.TerminatedPay != base.TerminatedPay {
+		t.Fatalf("terminated pay grew on replay: %v -> %v", base.TerminatedPay, costs.TerminatedPay)
 	}
-	if status, _ := c.Status(); status["terminated"] != 1 {
-		t.Fatalf("terminated counter = %d, want 1", status["terminated"])
+	if n := s.CountersNow().Terminated; n != 1 {
+		t.Fatalf("terminated counter = %d, want 1", n)
 	}
 }
 

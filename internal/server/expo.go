@@ -2,18 +2,21 @@ package server
 
 import (
 	"fmt"
+	"net/http"
 	"sort"
 	"strings"
 
 	"github.com/clamshell/clamshell/internal/sketch"
 )
 
-// The shared Prometheus exposition renderer. The standalone Server and the
-// fabric router both build a MetricsPage — per-shard state merged via the
-// t-digest sketches — and render it here, so the two scrape surfaces
-// (/metrics and the back-compat /api/metricsz alias) cannot drift and a
-// 1-shard fabric's page is byte-identical to the single server's by
-// construction. Every family's HELP/TYPE header is emitted exactly once.
+// The Prometheus exposition renderer. The fabric builds a MetricsPage —
+// per-shard state merged via the t-digest sketches — and renders it here
+// for both scrape paths (/metrics and the back-compat /api/metricsz alias)
+// and for the binary /metrics/sketch export, so they cannot drift. Latency
+// quantiles come from mergeable t-digest sketches over per-record
+// round-trip latencies — the live measurement a crowd query optimizer needs
+// to predict batch completion times (the paper's predictability argument,
+// §4.1). Every family's HELP/TYPE header is emitted exactly once.
 
 // summaryQs is the quantile set every latency summary exposes.
 var summaryQs = []float64{0.5, 0.95, 0.99}
@@ -117,6 +120,12 @@ func BuildMetricsPage(shards []ShardMetrics, obs *Obs, j *JournalSnapshot) *Metr
 		p.Backlog = append(p.Backlog, BacklogDepth{Priority: prio, Depth: depth[prio]})
 	}
 	return p
+}
+
+// WriteMetricsPage renders a metrics page with the exposition content type.
+func WriteMetricsPage(w http.ResponseWriter, p *MetricsPage) {
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
+	w.Write(p.RenderPrometheus())
 }
 
 // RenderPrometheus renders the page in the text exposition format (0.0.4).

@@ -13,8 +13,8 @@ import (
 
 // The JSON/HTTP shim over Core: the compatibility and control transport.
 // The five hot ops (join, enqueue, fetch, submit, leave/heartbeat — plus
-// result) are registered here once and shared by the standalone Server and
-// the fabric router, so the two HTTP surfaces cannot drift. The shim is
+// result) are registered here once, over any Core: the fabric mounts them
+// beside its aggregate endpoints, and tests mount them over a bare Shard. The shim is
 // scrubbed of per-op allocations: request bodies land in pooled buffers,
 // int-field bodies go through a strict hand-rolled decoder instead of a
 // map[string]int, responses are built in pooled buffers (canonical ones are
@@ -336,7 +336,7 @@ func handleCoreResult(w http.ResponseWriter, r *http.Request, c Core) {
 		writeCoreErr(w, http.StatusNotFound, ErrUnknownTask)
 		return
 	}
-	writeJSON(w, http.StatusOK, st)
+	WriteJSON(w, http.StatusOK, st)
 }
 
 // --- strict request decoding ---

@@ -212,10 +212,8 @@ func TestModelAnswersStayOutOfVoteGraph(t *testing.T) {
 	if !s.AutoFinalize(tid, []int{1, 1}) {
 		t.Fatal("auto-finalize failed")
 	}
-	s.mu.Lock()
-	votes, _, _ := s.voteGraph()
-	s.mu.Unlock()
-	if len(votes) != 0 {
+	stride, _, _ := s.Dims()
+	if votes := s.Votes(stride); len(votes) != 0 {
 		t.Fatalf("model answer leaked into the vote graph: %+v", votes)
 	}
 }

@@ -1,8 +1,6 @@
 package server
 
 import (
-	"net/http"
-	"sort"
 	"time"
 
 	"github.com/clamshell/clamshell/internal/journal"
@@ -55,28 +53,4 @@ func (s *Shard) maintenanceCheck(pw *poolWorker) bool {
 	s.removeWorker(pw.id, "retire")
 	s.retiredCount++
 	return true
-}
-
-// handleWorkers reports per-worker statistics in join order.
-func (s *Server) handleWorkers(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.expireWorkers()
-	now := s.cfg.Now()
-	out := make([]WorkerStats, 0, len(s.workers))
-	for _, pw := range s.workers {
-		ws := WorkerStats{
-			ID:          pw.id,
-			Name:        pw.name,
-			Completed:   pw.done,
-			Working:     pw.current != 0,
-			JoinedAgoMS: now.Sub(pw.joinedAt).Milliseconds(),
-		}
-		if pw.latN > 0 {
-			ws.MeanPerRec = pw.latSum / float64(pw.latN)
-		}
-		out = append(out, ws)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	writeJSON(w, http.StatusOK, out)
 }

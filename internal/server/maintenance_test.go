@@ -1,32 +1,17 @@
 package server
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
+	"sort"
 	"testing"
 	"time"
 )
 
-// fetchWorkers reads GET /api/workers.
-func fetchWorkers(t *testing.T, c *Client) []WorkerStats {
-	t.Helper()
-	r, err := c.HTTP.Get(c.BaseURL + "/api/workers")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Body.Close()
-	var out []WorkerStats
-	if err := json.NewDecoder(r.Body).Decode(&out); err != nil {
-		t.Fatal(err)
-	}
-	return out
-}
-
 func TestWorkerStatsEndpoint(t *testing.T) {
 	now := time.Date(2015, 9, 20, 12, 0, 0, 0, time.UTC)
 	clock := func() time.Time { return now }
-	c, _ := newTestServer(t, Config{Now: clock})
+	c, s := newTestServer(t, Config{Now: clock})
 	w1, _ := c.Join("alice")
 	c.Join("bob")
 	c.SubmitTasks([]TaskSpec{{Records: []string{"a", "b"}, Classes: 2}})
@@ -34,7 +19,8 @@ func TestWorkerStatsEndpoint(t *testing.T) {
 	now = now.Add(6 * time.Second)
 	c.Submit(w1, a.TaskID, []int{0, 1})
 
-	ws := fetchWorkers(t, c)
+	ws := s.WorkerList()
+	sort.Slice(ws, func(i, j int) bool { return ws[i].ID < ws[j].ID })
 	if len(ws) != 2 {
 		t.Fatalf("workers = %d", len(ws))
 	}
@@ -53,7 +39,7 @@ func TestWorkerStatsEndpoint(t *testing.T) {
 func TestServerMaintenanceRetiresSlowWorker(t *testing.T) {
 	now := time.Date(2015, 9, 20, 12, 0, 0, 0, time.UTC)
 	clock := func() time.Time { return now }
-	c, _ := newTestServer(t, Config{
+	c, s := newTestServer(t, Config{
 		Now:                  clock,
 		MaintenanceThreshold: 4 * time.Second,
 		MaintenanceMinObs:    3,
@@ -85,19 +71,19 @@ func TestServerMaintenanceRetiresSlowWorker(t *testing.T) {
 	if r.StatusCode != http.StatusGone {
 		t.Fatalf("retired fetch status = %d, want 410", r.StatusCode)
 	}
-	st, _ := c.Status()
-	if st["retired"] != 1 {
-		t.Fatalf("retired counter = %d", st["retired"])
+	st := s.CountersNow()
+	if st.Retired != 1 {
+		t.Fatalf("retired counter = %d", st.Retired)
 	}
-	if st["workers"] != 0 {
-		t.Fatalf("retired worker still in pool: %d", st["workers"])
+	if st.Workers != 0 {
+		t.Fatalf("retired worker still in pool: %d", st.Workers)
 	}
 }
 
 func TestServerMaintenanceKeepsFastWorker(t *testing.T) {
 	now := time.Date(2015, 9, 20, 12, 0, 0, 0, time.UTC)
 	clock := func() time.Time { return now }
-	c, _ := newTestServer(t, Config{
+	c, s := newTestServer(t, Config{
 		Now:                  clock,
 		MaintenanceThreshold: 4 * time.Second,
 	})
@@ -115,8 +101,7 @@ func TestServerMaintenanceKeepsFastWorker(t *testing.T) {
 		now = now.Add(2 * time.Second)
 		c.Submit(fast, a.TaskID, []int{0})
 	}
-	st, _ := c.Status()
-	if st["retired"] != 0 {
+	if s.CountersNow().Retired != 0 {
 		t.Fatal("fast worker retired")
 	}
 }
@@ -124,7 +109,7 @@ func TestServerMaintenanceKeepsFastWorker(t *testing.T) {
 func TestServerMaintenanceDisabledByDefault(t *testing.T) {
 	now := time.Date(2015, 9, 20, 12, 0, 0, 0, time.UTC)
 	clock := func() time.Time { return now }
-	c, _ := newTestServer(t, Config{Now: clock})
+	c, s := newTestServer(t, Config{Now: clock})
 	w, _ := c.Join("anyone")
 	specs := make([]TaskSpec, 4)
 	for i := range specs {
@@ -139,8 +124,7 @@ func TestServerMaintenanceDisabledByDefault(t *testing.T) {
 		now = now.Add(time.Hour) // absurdly slow
 		c.Submit(w, a.TaskID, []int{0})
 	}
-	st, _ := c.Status()
-	if st["retired"] != 0 {
+	if s.CountersNow().Retired != 0 {
 		t.Fatal("maintenance fired while disabled")
 	}
 }

@@ -3,14 +3,13 @@ package server
 import (
 	"encoding/json"
 	"fmt"
-	"net/http"
 	"sort"
 	"time"
 
 	"github.com/clamshell/clamshell/internal/metrics"
 )
 
-// Durability: the server can snapshot its task queue and accounting to JSON
+// Durability: a shard can snapshot its task queue and accounting to JSON
 // and restore it after a restart. Workers are deliberately not persisted —
 // retainer sessions are live HTTP conversations that cannot survive a
 // process restart; workers simply rejoin and the restored queue is routed
@@ -29,8 +28,8 @@ import (
 // compaction and the tally tier append-only.
 //
 // The state types are exported so the fabric can merge per-shard snapshots
-// into the same wire format a single server produces, and split one back
-// across shards on restore.
+// into one document in this wire format, and split one back across shards
+// on restore.
 
 // SnapshotVersion guards against loading snapshots from incompatible
 // builds. Version 1 has grown two additive, omitempty fields since its
@@ -87,8 +86,8 @@ type RetainedTask struct {
 	Model bool `json:"model,omitempty"`
 }
 
-// SnapshotState is the full durable state of one pool (a standalone server
-// or one fabric shard).
+// SnapshotState is the full durable state of one pool (one fabric shard,
+// or a whole fabric once merged).
 type SnapshotState struct {
 	Version      int                `json:"version"`
 	NextTask     int                `json:"next_task"`
@@ -342,29 +341,4 @@ func (s *Shard) Restore(data []byte) error {
 	}
 	s.ImportState(st)
 	return nil
-}
-
-// handleSnapshot serves the durable state as JSON.
-func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	data, err := s.Snapshot()
-	if err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(data)
-}
-
-// handleRestore loads durable state from the request body.
-func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
-	var buf json.RawMessage
-	if err := json.NewDecoder(r.Body).Decode(&buf); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("reading snapshot body: %w", err))
-		return
-	}
-	if err := s.Restore(buf); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]bool{"ok": true})
 }

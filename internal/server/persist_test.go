@@ -1,25 +1,16 @@
 package server
 
 import (
-	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
 	"github.com/clamshell/clamshell/internal/journal"
+	"github.com/clamshell/clamshell/internal/quality"
 )
 
-// startServer spins up a test server + client pair.
-func startServer(t *testing.T, cfg Config) (*Server, *Client) {
-	t.Helper()
-	s := New(cfg)
-	ts := httptest.NewServer(s)
-	t.Cleanup(ts.Close)
-	return s, NewClient(ts.URL)
-}
-
 func TestSnapshotRestoreRoundTrip(t *testing.T) {
-	s, c := startServer(t, Config{})
+	c, s := newTestServer(t, Config{})
 
 	// Build up state: two tasks, one completed by a worker.
 	wid, err := c.Join("alice")
@@ -41,26 +32,23 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	snap, err := c.Snapshot()
+	snap, err := s.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// Restore into a fresh server: tasks, answers and counters must carry
+	// Restore into a fresh shard: tasks, answers and counters must carry
 	// over; workers must not.
-	s2, c2 := startServer(t, Config{})
-	if err := c2.Restore(snap); err != nil {
+	c2, s2 := newTestServer(t, Config{})
+	if err := s2.Restore(snap); err != nil {
 		t.Fatal(err)
 	}
-	st, err := c2.Status()
-	if err != nil {
-		t.Fatal(err)
+	st := s2.CountersNow()
+	if st.Tasks != 2 || st.Complete != 1 {
+		t.Fatalf("restored counters = %+v, want 2 tasks / 1 complete", st)
 	}
-	if st["tasks"] != 2 || st["complete"] != 1 {
-		t.Fatalf("restored status = %v, want 2 tasks / 1 complete", st)
-	}
-	if st["workers"] != 0 {
-		t.Fatalf("restored server has %d workers, want 0 (workers rejoin)", st["workers"])
+	if st.Workers != 0 {
+		t.Fatalf("restored shard has %d workers, want 0 (workers rejoin)", st.Workers)
 	}
 	res, err := c2.Result(ids[0])
 	if err != nil {
@@ -91,12 +79,10 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	if newIDs[0] <= ids[1] {
 		t.Fatalf("new task id %d not above restored high-water %d", newIDs[0], ids[1])
 	}
-	_ = s
-	_ = s2
 }
 
 func TestRestoreRejectsBadSnapshots(t *testing.T) {
-	s := New(Config{})
+	s := NewShard(Config{}, 0, 1)
 	cases := map[string]string{
 		"not json":          "{",
 		"wrong version":     `{"version": 99}`,
@@ -112,20 +98,20 @@ func TestRestoreRejectsBadSnapshots(t *testing.T) {
 }
 
 func TestRestoreDropsInFlightAssignments(t *testing.T) {
-	_, c := startServer(t, Config{})
+	c, s := newTestServer(t, Config{})
 	wid, _ := c.Join("w")
 	ids, _ := c.SubmitTasks([]TaskSpec{{Records: []string{"a"}, Classes: 2}})
 	if _, ok, _ := c.FetchTask(wid); !ok {
 		t.Fatal("fetch failed")
 	}
-	snap, err := c.Snapshot()
+	snap, err := s.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The snapshot was taken while the task was in flight; after restore it
 	// must be unassigned, not stuck active forever.
-	_, c2 := startServer(t, Config{})
-	if err := c2.Restore(snap); err != nil {
+	c2, s2 := newTestServer(t, Config{})
+	if err := s2.Restore(snap); err != nil {
 		t.Fatal(err)
 	}
 	res, err := c2.Result(ids[0])
@@ -144,7 +130,7 @@ func TestRestoreDropsInFlightAssignments(t *testing.T) {
 func TestRetentionDemotion(t *testing.T) {
 	now := time.Date(2015, 9, 20, 12, 0, 0, 0, time.UTC)
 	clock := func() time.Time { return now }
-	s, c := startServer(t, Config{Now: clock, WorkerTimeout: time.Hour})
+	c, s := newTestServer(t, Config{Now: clock, WorkerTimeout: time.Hour})
 	st, rec, err := journal.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -190,18 +176,17 @@ func TestRetentionDemotion(t *testing.T) {
 	if len(res.Records) != 0 {
 		t.Fatalf("retained result still carries payloads: %v", res.Records)
 	}
-	// Consensus still pools the retained votes.
-	cons, err := NewClient(c.BaseURL).Consensus("majority")
-	if err != nil {
-		t.Fatal(err)
+	// The consensus vote graph still pools the retained votes (every
+	// task here has one record, so the stride is 1).
+	if got := quality.MajorityLabels(s.Votes(1))[ids[0]]; got != 1 {
+		t.Fatalf("majority consensus for retained task = %d, want 1", got)
 	}
-	if got := cons.Labels[ids[0]]; len(got) != 1 || got[0] != 1 {
-		t.Fatalf("consensus for retained task = %v, want [1]", got)
+	if order, records := s.TaskMeta(); len(order) != 2 || records[ids[0]] != 1 {
+		t.Fatalf("task meta after demotion: order %v records %v, want the retained task kept", order, records)
 	}
 	// Counters keep counting demoted tasks.
-	status, _ := c.Status()
-	if status["tasks"] != 2 || status["complete"] != 1 {
-		t.Fatalf("status after demotion = %v, want 2 tasks / 1 complete", status)
+	if st := s.CountersNow(); st.Tasks != 2 || st.Complete != 1 {
+		t.Fatalf("counters after demotion = %+v, want 2 tasks / 1 complete", st)
 	}
 	// A late submission against a demoted task is an unknown task: the
 	// retention window is the replay horizon.
@@ -210,15 +195,15 @@ func TestRetentionDemotion(t *testing.T) {
 	}
 
 	// The facade snapshot carries the tally and restores it.
-	snap, err := c.Snapshot()
+	snap, err := s.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(string(snap), `"retained"`) {
 		t.Fatalf("facade snapshot lost the retained tier:\n%s", snap)
 	}
-	_, c2 := startServer(t, Config{Now: clock})
-	if err := c2.Restore(snap); err != nil {
+	c2, s2 := newTestServer(t, Config{Now: clock})
+	if err := s2.Restore(snap); err != nil {
 		t.Fatal(err)
 	}
 	res2, err := c2.Result(ids[0])
@@ -231,9 +216,9 @@ func TestRetentionDemotion(t *testing.T) {
 }
 
 func TestSnapshotIsStableJSON(t *testing.T) {
-	_, c := startServer(t, Config{})
+	c, s := newTestServer(t, Config{})
 	c.SubmitTasks([]TaskSpec{{Records: []string{"a"}, Classes: 2}})
-	snap, err := c.Snapshot()
+	snap, err := s.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,7 @@ package server
 import "testing"
 
 func TestHighPriorityTasksServedFirst(t *testing.T) {
-	_, c := startServer(t, Config{})
+	c, _ := newTestServer(t, Config{})
 	wid, _ := c.Join("w")
 
 	ids, err := c.SubmitTasks([]TaskSpec{
@@ -37,7 +37,7 @@ func TestHighPriorityTasksServedFirst(t *testing.T) {
 }
 
 func TestPriorityAppliesToSpeculationToo(t *testing.T) {
-	_, c := startServer(t, Config{SpeculationLimit: 1})
+	c, _ := newTestServer(t, Config{SpeculationLimit: 1})
 	w1, _ := c.Join("w1")
 	w2, _ := c.Join("w2")
 	w3, _ := c.Join("w3")
@@ -69,17 +69,17 @@ func TestPriorityAppliesToSpeculationToo(t *testing.T) {
 }
 
 func TestPrioritySurvivesSnapshotRestore(t *testing.T) {
-	_, c := startServer(t, Config{})
+	c, s := newTestServer(t, Config{})
 	ids, _ := c.SubmitTasks([]TaskSpec{
 		{Records: []string{"low"}, Classes: 2, Priority: 0},
 		{Records: []string{"high"}, Classes: 2, Priority: 9},
 	})
-	snap, err := c.Snapshot()
+	snap, err := s.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, c2 := startServer(t, Config{})
-	if err := c2.Restore(snap); err != nil {
+	c2, s2 := newTestServer(t, Config{})
+	if err := s2.Restore(snap); err != nil {
 		t.Fatal(err)
 	}
 	wid, _ := c2.Join("w")

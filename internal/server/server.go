@@ -1,14 +1,18 @@
-// Package server implements the live-deployment counterpart of the
-// simulator: an HTTP routing server speaking the retainer-pool protocol.
-// Workers (or worker UIs) join the pool, poll for work, and submit labels;
-// clients enqueue tasks and collect consensus results. The server applies
-// the same straggler-mitigation semantics as the simulator — when every
-// task is assigned, idle workers receive speculative duplicates of
-// in-flight tasks, the first answer wins, and late duplicates are told
+// Package server holds the retainer-pool protocol's building blocks: the
+// independently-locked Shard (tasks, queue order, workers, consensus
+// inputs, accounting, maintenance, durability), the transport-agnostic
+// Core interface, the JSON/HTTP shim over it, the metrics renderer and the
+// HTTP client. Workers (or worker UIs) join the pool, poll for work, and
+// submit labels; clients enqueue tasks and collect consensus results. A
+// shard applies the same straggler-mitigation semantics as the simulator —
+// when every task is assigned, idle workers receive speculative duplicates
+// of in-flight tasks, the first answer wins, and late duplicates are told
 // their work was redundant (but still counted for payment).
 //
-// The protocol is deliberately plain JSON over HTTP so any crowd frontend
-// (an MTurk ExternalQuestion iframe, an internal labeling UI) can drive it.
+// internal/fabric assembles shards into the node's one HTTP server (a
+// 1-shard fabric is the single-pool deployment). The protocol is
+// deliberately plain JSON over HTTP so any crowd frontend (an MTurk
+// ExternalQuestion iframe, an internal labeling UI) can drive it.
 package server
 
 import (
@@ -144,17 +148,16 @@ type Config struct {
 }
 
 // Shard is one independently-locked retainer pool: tasks, queue order,
-// workers, consensus inputs, accounting and maintenance state. A Server is
-// a single Shard behind the HTTP mux; the fabric package runs N of them
-// behind one router, each covering a stripe of the global id space (shard
-// s of n allocates ids ≡ s+1 mod n), so an id deterministically names its
-// owning shard.
+// workers, consensus inputs, accounting and maintenance state. The fabric
+// package runs N of them behind one router, each covering a stripe of the
+// global id space (shard s of n allocates ids ≡ s+1 mod n), so an id
+// deterministically names its owning shard.
 type Shard struct {
 	cfg Config
 
-	// index/count describe this shard's id stripe. A standalone Server is
-	// shard 0 of 1 — the stripe is all of ℕ and ids are 1,2,3,… exactly as
-	// before sharding existed.
+	// index/count describe this shard's id stripe. A 1-shard fabric's
+	// shard is 0 of 1 — the stripe is all of ℕ and ids are 1,2,3,… exactly
+	// as before sharding existed.
 	index int
 	count int
 
@@ -203,8 +206,8 @@ type Shard struct {
 
 	// orphans are assignments whose worker was removed while holding a task
 	// that lives on another shard (work stealing). The fabric drains them
-	// and releases the active slots on the owning shards; a standalone
-	// Server never produces any (every assignment is local). orphanCount
+	// and releases the active slots on the owning shards; a 1-shard
+	// fabric never produces any (every assignment is local). orphanCount
 	// mirrors len(orphans) so DrainOrphans can skip the lock when empty.
 	orphans     []Orphan
 	orphanCount atomic.Int32
@@ -227,12 +230,6 @@ type Shard struct {
 type Orphan struct {
 	Worker int
 	Task   int
-}
-
-// Server is the retainer-pool routing server. It implements http.Handler.
-type Server struct {
-	mux *http.ServeMux
-	Shard
 }
 
 // metricsAccounting aliases metrics.Accounting for field brevity.
@@ -286,43 +283,17 @@ func NewShard(cfg Config, index, count int) *Shard {
 	return sh
 }
 
-// New creates a Server.
-func New(cfg Config) *Server {
-	s := &Server{}
-	initShard(&s.Shard, cfg, 0, 1)
-	s.mux = http.NewServeMux()
-	RegisterCoreRoutes(s.mux, &s.Shard)
-	s.mux.HandleFunc("GET /api/status", s.handleStatus)
-	s.mux.HandleFunc("GET /api/workers", s.handleWorkers)
-	s.mux.HandleFunc("GET /api/costs", s.handleCosts)
-	s.mux.HandleFunc("GET /api/consensus", s.handleConsensus)
-	s.mux.HandleFunc("GET /api/snapshot", s.handleSnapshot)
-	s.mux.HandleFunc("POST /api/restore", s.handleRestore)
-	s.mux.HandleFunc("GET /api/healthz", s.handleHealthz)
-	s.mux.HandleFunc("GET /api/metricsz", s.handleMetricsz)
-	s.mux.HandleFunc("GET /metrics", s.handleMetricsz)
-	s.mux.HandleFunc("GET /metrics/sketch", s.handleMetricsSketch)
-	s.mux.HandleFunc("GET /{$}", s.handleUI)
-	return s
-}
-
-// ServeHTTP dispatches to the API mux.
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	s.mux.ServeHTTP(w, r)
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON writes v as a JSON response with the given status: the
+// encoder every non-hot endpoint shares, so their bodies (including the
+// trailing newline) are identical wherever they are served.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(v)
 }
 
-func writeErr(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, map[string]string{"error": err.Error()})
-}
-
 // stripeNext returns the smallest id in this shard's stripe strictly
-// greater than cur. For a standalone server (stripe 1,2,3,…) this is
+// greater than cur. For a 1-shard pool (stripe 1,2,3,…) this is
 // cur+1; after a restore it realigns the counter past any restored id.
 func (s *Shard) stripeNext(cur int) int {
 	base, stride := s.index+1, s.count
@@ -431,35 +402,6 @@ func (s *Shard) answered(u *workUnit, workerID int) bool {
 		}
 	}
 	return false
-}
-
-// handleStatus reports pool and queue health.
-func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.expireWorkers()
-	// Retained tallies still count: demotion compacts a completed task's
-	// representation, it does not forget the task.
-	complete := len(s.tallies)
-	for _, u := range s.tasks {
-		if u.done {
-			complete++
-		}
-	}
-	idle := 0
-	for _, pw := range s.workers {
-		if pw.current == 0 {
-			idle++
-		}
-	}
-	writeJSON(w, http.StatusOK, map[string]int{
-		"tasks":      len(s.tasks) + len(s.tallies),
-		"complete":   complete,
-		"workers":    len(s.workers),
-		"idle":       idle,
-		"terminated": s.terminated,
-		"retired":    s.retiredCount,
-	})
 }
 
 // retainedStatus builds the /api/result view of a demoted task. An aged

@@ -1,18 +1,27 @@
 package server
 
 import (
+	"net/http"
 	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
 )
 
-func newTestServer(t *testing.T, cfg Config) (*Client, *httptest.Server) {
+// newTestServer serves one shard's protocol ops through RegisterCoreRoutes
+// — the same shim the fabric mounts — and returns a client for them plus
+// the shard itself. The aggregate views (status, costs, workers, snapshot,
+// metrics) are read through the Shard accessors the fabric's handlers are
+// built from; the endpoints themselves are tested in admin_test.go against
+// a 1-shard fabric.
+func newTestServer(t *testing.T, cfg Config) (*Client, *Shard) {
 	t.Helper()
-	srv := New(cfg)
-	ts := httptest.NewServer(srv)
+	sh := NewShard(cfg, 0, 1)
+	mux := http.NewServeMux()
+	RegisterCoreRoutes(mux, sh)
+	ts := httptest.NewServer(mux)
 	t.Cleanup(ts.Close)
-	return NewClient(ts.URL), ts
+	return NewClient(ts.URL), sh
 }
 
 func TestJoinFetchSubmitRoundTrip(t *testing.T) {
@@ -99,7 +108,7 @@ func TestQuorumConsensus(t *testing.T) {
 }
 
 func TestStragglerDuplicationAndTermination(t *testing.T) {
-	c, _ := newTestServer(t, Config{SpeculationLimit: 1})
+	c, sh := newTestServer(t, Config{SpeculationLimit: 1})
 	ids, _ := c.SubmitTasks([]TaskSpec{{Records: []string{"x"}, Classes: 2}})
 
 	slow, _ := c.Join("slow")
@@ -129,9 +138,8 @@ func TestStragglerDuplicationAndTermination(t *testing.T) {
 	if st.Consensus[0] != 1 {
 		t.Fatalf("consensus = %v, want the winner's label", st.Consensus)
 	}
-	status, _ := c.Status()
-	if status["terminated"] != 1 {
-		t.Fatalf("terminated counter = %d", status["terminated"])
+	if n := sh.CountersNow().Terminated; n != 1 {
+		t.Fatalf("terminated counter = %d", n)
 	}
 }
 
@@ -224,7 +232,7 @@ func TestValidationErrors(t *testing.T) {
 // a batch of quorum tasks and checks that everything completes with sane
 // consensus — the server-side analogue of the simulator's end-to-end runs.
 func TestSwarmIntegration(t *testing.T) {
-	c, _ := newTestServer(t, Config{SpeculationLimit: 1})
+	c, sh := newTestServer(t, Config{SpeculationLimit: 1})
 	const tasks, workers = 40, 8
 	specs := make([]TaskSpec, tasks)
 	for i := range specs {
@@ -276,18 +284,15 @@ func TestSwarmIntegration(t *testing.T) {
 
 	deadline := time.After(10 * time.Second)
 	for {
-		st, err := c.Status()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st["complete"] == tasks {
+		complete := sh.CountersNow().Complete
+		if complete == tasks {
 			break
 		}
 		select {
 		case <-deadline:
 			close(stop)
 			wg.Wait()
-			t.Fatalf("only %d/%d tasks complete", st["complete"], tasks)
+			t.Fatalf("only %d/%d tasks complete", complete, tasks)
 		default:
 			time.Sleep(5 * time.Millisecond)
 		}

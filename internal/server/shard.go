@@ -16,9 +16,8 @@ import (
 // into the retainer-pool protocol. Every method takes the shard's own lock
 // and returns — a method never calls into another shard, so the fabric can
 // sequence calls across shards without any lock-ordering hazard. The
-// Server's HTTP handlers in this package use the same internals under a
-// single lock acquisition; for one shard the two paths produce identical
-// protocol behavior (internal/fabric's compat test pins this byte-for-byte).
+// fabric's HTTP handlers are built from these accessors alone; its golden
+// compat transcript pins the resulting protocol byte-for-byte.
 
 // Join admits a worker into this shard's retainer pool and returns its
 // globally-unique id (the id encodes the shard: (id-1) mod count == index).
@@ -543,14 +542,6 @@ func (s *Shard) WorkerList() []WorkerStats {
 	return out
 }
 
-// SettledCosts returns the accounting booked so far (no accrual for
-// currently idle workers) — the metricsz view.
-func (s *Shard) SettledCosts() metrics.Accounting {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.costs
-}
-
 // AccruedCosts returns the accounting including wait pay accrued up to now
 // for currently idle workers — the /api/costs view. Stale workers are
 // expired first (with their wait pay clipped at the moment liveness
@@ -718,7 +709,7 @@ func (s *Shard) RecordLatencySample(seconds float64) { s.latRec.Record(seconds) 
 
 // MetricsState snapshots this shard's contribution to a metrics page:
 // health counters, settled cost, latency sketches and backlog depths. The
-// fabric merges these across shards; the standalone Server renders one.
+// fabric merges these across shards into one page.
 func (s *Shard) MetricsState() ShardMetrics {
 	s.mu.Lock()
 	s.expireWorkers()

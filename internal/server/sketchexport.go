@@ -154,10 +154,3 @@ func WriteSketchExport(w http.ResponseWriter, p *MetricsPage) {
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Write(EncodeSketchExport(p.Sketches()))
 }
-
-// handleMetricsSketch serves the single server's digests (same page the
-// text scrape renders) in the binary export format.
-func (s *Server) handleMetricsSketch(w http.ResponseWriter, r *http.Request) {
-	page := BuildMetricsPage([]ShardMetrics{s.MetricsState()}, s.obs, nil)
-	WriteSketchExport(w, page)
-}

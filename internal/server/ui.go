@@ -9,13 +9,7 @@ import "net/http"
 // the MTurk ExternalQuestion iframe the paper's deployment used; any real
 // frontend would replace it, but the server is fully usable without one.
 
-// handleUI serves the worker page.
-func (s *Server) handleUI(w http.ResponseWriter, r *http.Request) {
-	WorkerUI(w, r)
-}
-
-// WorkerUI serves the built-in worker page. Exported so the fabric router
-// can serve the identical UI.
+// WorkerUI serves the built-in worker page (the fabric mounts it at GET /).
 func WorkerUI(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
 	w.Write([]byte(workerPage))

@@ -1,14 +1,16 @@
-package server
+package server_test
 
 import (
 	"io"
 	"net/http"
 	"strings"
 	"testing"
+
+	"github.com/clamshell/clamshell/internal/server"
 )
 
 func TestWorkerUIServed(t *testing.T) {
-	_, c := startServer(t, Config{})
+	c := newNode(t, server.Config{})
 	r, err := c.HTTP.Get(c.BaseURL + "/")
 	if err != nil {
 		t.Fatal(err)
@@ -33,7 +35,7 @@ func TestWorkerUIServed(t *testing.T) {
 }
 
 func TestWorkerUINotServedOnOtherPaths(t *testing.T) {
-	_, c := startServer(t, Config{})
+	c := newNode(t, server.Config{})
 	r, err := c.HTTP.Get(c.BaseURL + "/nope")
 	if err != nil {
 		t.Fatal(err)

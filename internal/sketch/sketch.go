@@ -4,9 +4,9 @@
 // centroids near the median hold many, so relative error is tightest at
 // the extreme quantiles — exactly where a latency p99 lives.
 //
-// Unlike the P² estimator this replaces in internal/server, two digests
-// built on disjoint streams merge into one whose quantiles approximate the
-// union stream's: the property a sharded fabric needs to serve one true
+// Unlike a single-stream estimator such as P², two digests built on
+// disjoint streams merge into one whose quantiles approximate the union
+// stream's: the property a sharded fabric needs to serve one true
 // fabric-wide percentile from per-shard observations. The digest is
 // zero-dependency, allocation-free at steady state (all buffers are
 // retained and reused across flushes), and has a compact binary codec

@@ -6,8 +6,6 @@ import (
 	"sort"
 	"sync"
 	"testing"
-
-	"github.com/clamshell/clamshell/internal/stats"
 )
 
 // exactQuantile computes the sample quantile by sorting (linear
@@ -209,35 +207,6 @@ func TestMergeAssociativity(t *testing.T) {
 		l, r := left.Quantile(q), right.Quantile(q)
 		if e := relErr(l, r, scale); e > 0.05 {
 			t.Errorf("q=%g: groupings diverge: %g vs %g (rel err %.3f)", q, l, r, e)
-		}
-	}
-}
-
-// TestParityWithP2 is the satellite check for the estimator swap: on an
-// identical stream, the t-digest and the P² estimator it replaces must
-// agree with each other (and each with the exact quantile) within
-// tolerance, so single-shard deployments see continuous numbers across the
-// upgrade.
-func TestParityWithP2(t *testing.T) {
-	streams := testStreams(20000)
-	// P² gives no useful guarantee on multimodal streams, so the
-	// cross-estimator comparison covers the unimodal latency-like shapes.
-	for _, name := range []string{"uniform", "exponential", "lognormal"} {
-		xs := streams[name]
-		for _, q := range []float64{0.5, 0.95, 0.99} {
-			d := New(DefaultCompression)
-			p2 := stats.NewP2Quantile(q)
-			for _, x := range xs {
-				d.Add(x)
-				p2.Add(x)
-			}
-			checkQuantile(t, name, xs, q, d.Quantile(q))
-			// P² is itself an approximation, so the cross-estimator
-			// tolerance is wider.
-			scale := exactQuantile(xs, 0.99)
-			if e := relErr(d.Quantile(q), p2.Value(), scale); e > 0.15 {
-				t.Errorf("%s q=%g: digest %g vs P² %g (rel err %.3f)", name, q, d.Quantile(q), p2.Value(), e)
-			}
 		}
 	}
 }
