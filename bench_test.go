@@ -505,8 +505,8 @@ func BenchmarkWireThroughputBatched(b *testing.B) {
 
 // benchmarkWirePoll measures the retainer pool's dominant steady-state op
 // — the idle keep-alive poll — over the wire transport against the same
-// standing-backlog fabric, depth ops per frame (depth 1 is the v1
-// request/response pattern: one op, one round trip). Heartbeats leave the
+// standing-backlog fabric, depth ops per frame (depth 1 is a single-op
+// call: one batch-of-one envelope, one round trip). Heartbeats leave the
 // fabric unchanged, so the run measures transport cost against live
 // dispatch state without mutating it, and the depth-N/depth-1 ratio
 // isolates exactly what batching claims to amortize: framing, flushes and
@@ -580,10 +580,10 @@ func BenchmarkWirePoll(b *testing.B) {
 	}
 }
 
-// TestWireBatchedThroughputGate is the enforced acceptance bar for the v2
+// TestWireBatchedThroughputGate is the enforced acceptance bar for the
 // batch envelope: on the transport-bound poll workload, batching must
-// deliver ≥ 3× the ops/core of the v1 request/response pattern at
-// equal-or-better bytes per op. It re-measures both sides with
+// deliver ≥ 3× the ops/core of single-op calls (one batch-of-one envelope
+// per round trip) at equal-or-better bytes per op. It re-measures both sides with
 // testing.Benchmark, so it costs several wall seconds and only runs when
 // CLAMSHELL_PERF_GATE is set (the CI bench-smoke step sets it; plain
 // `go test ./...` stays fast and timing-independent).

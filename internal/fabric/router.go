@@ -52,9 +52,6 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	rt.mux.ServeHTTP(w, r)
 }
 
-// NumNodes returns the fabric's node count.
-func (rt *Router) NumNodes() int { return len(rt.nodes) }
-
 // Reconnects sums wire reconnections across all node clients.
 func (rt *Router) Reconnects() uint64 {
 	var n uint64

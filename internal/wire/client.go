@@ -32,56 +32,47 @@ var errDesync = errors.New("wire: response does not match request tags")
 // serialized by an internal mutex, so give each concurrent worker
 // goroutine its own Client for parallelism.
 //
-// On a v2 connection (the default against a current server) independent
-// ops can be coalesced into one frame — one write(2), one CRC, one
-// response wake-up for the lot — via NewBatch, or the purpose-built
-// SubmitAndFetch. Against a v1 server the same calls transparently fall
-// back to sequential round trips.
+// Each single-op method sends a batch of one. Independent ops can be
+// coalesced into one frame — one write(2), one CRC, one response wake-up
+// for the lot — via NewBatch, or the purpose-built SubmitAndFetch.
 type Client struct {
 	mu      sync.Mutex
 	conn    net.Conn
 	br      *bufio.Reader
 	bw      *bufio.Writer
-	version byte  // negotiated protocol version
 	err     error // sticky poison: set on any framing-level failure
 	nextTag uint64
-	wbuf    []byte // frame payload (request or envelope) encoding buffer
-	sbuf    []byte // v2 sub-request scratch buffer
+	wbuf    []byte // envelope encoding buffer
+	sbuf    []byte // sub-request scratch buffer
 	rbuf    []byte // response frame buffer
 }
 
-// Dial connects to a wire server and performs the version handshake,
-// offering the newest protocol version this package speaks.
+// Dial connects to a wire server and performs the handshake.
 func Dial(addr string) (*Client, error) {
-	return DialVersion(addr, MaxVersion)
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		return nil, err
+	}
+	return newClientOrClose(conn)
 }
 
-// DialTLS connects over TLS and performs the version handshake. cfg may
-// be nil for the default configuration (the usual tls.Config knobs —
-// RootCAs, ServerName, InsecureSkipVerify — all apply).
+// DialTLS connects over TLS and performs the handshake. cfg may be nil for
+// the default configuration (the usual tls.Config knobs — RootCAs,
+// ServerName, InsecureSkipVerify — all apply).
 func DialTLS(addr string, cfg *tls.Config) (*Client, error) {
 	conn, err := tls.Dial("tcp", addr, cfg)
 	if err != nil {
 		return nil, err
 	}
-	c, err := NewClientVersion(conn, MaxVersion)
-	if err != nil {
-		_ = conn.Close()
-		return nil, err
-	}
-	return c, nil
+	return newClientOrClose(conn)
 }
 
-// DialVersion connects offering at most the given protocol version. Use
-// it to pin Version1 against servers predating the batch envelope.
-func DialVersion(addr string, version byte) (*Client, error) {
-	conn, err := net.Dial("tcp", addr)
+// newClientOrClose is NewClient for a connection the caller dialed: a
+// failed handshake closes it (best-effort; the handshake error is what
+// surfaces).
+func newClientOrClose(conn net.Conn) (*Client, error) {
+	c, err := NewClient(conn)
 	if err != nil {
-		return nil, err
-	}
-	c, err := NewClientVersion(conn, version)
-	if err != nil {
-		// Best-effort: the handshake error is what surfaces.
 		_ = conn.Close()
 		return nil, err
 	}
@@ -89,35 +80,17 @@ func DialVersion(addr string, version byte) (*Client, error) {
 }
 
 // NewClient wraps an established connection (TCP, net.Pipe, ...) and
-// performs the version handshake, offering the newest protocol version.
+// performs the handshake.
 func NewClient(conn net.Conn) (*Client, error) {
-	return NewClientVersion(conn, MaxVersion)
-}
-
-// NewClientVersion wraps an established connection offering at most the
-// given protocol version; the server may negotiate down (never up).
-func NewClientVersion(conn net.Conn, version byte) (*Client, error) {
-	if version < Version1 || version > MaxVersion {
-		return nil, ErrBadMagic
-	}
 	c := &Client{
 		conn: conn,
 		br:   bufio.NewReaderSize(conn, 8<<10),
 		bw:   bufio.NewWriterSize(conn, 8<<10),
 	}
-	negotiated, err := clientHandshake(c.br, c.bw, version)
-	if err != nil {
+	if err := clientHandshake(c.br, c.bw); err != nil {
 		return nil, err
 	}
-	c.version = negotiated
 	return c, nil
-}
-
-// Version returns the negotiated protocol version.
-func (c *Client) Version() byte {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.version
 }
 
 // Close closes the connection. Unlike the other methods it does not wait
@@ -159,56 +132,41 @@ func (c *Client) exchange() ([]byte, error) {
 	return payload, nil
 }
 
-// roundTrip sends req and returns the response payload. The returned
-// reader's buffer is valid until the next call. Callers hold mu.
+// roundTrip sends req and returns the response body and its status.
+// The returned reader's buffer is valid until the next call. Callers hold
+// mu.
 func (c *Client) roundTrip(req request) (reader, byte, error) {
-	if c.err != nil {
-		return reader{}, 0, c.err
-	}
 	c.sbuf = encodeRequest(c.sbuf[:0], req)
 	return c.roundTripRaw(c.sbuf)
 }
 
-// roundTripRaw sends one pre-encoded request body and returns the response
-// payload, handling the batch-of-one envelope on v2. Callers hold mu; body
-// may alias c.sbuf but not c.wbuf.
+// roundTripRaw sends one pre-encoded request body as a batch of one and
+// returns the response body and its status. Callers hold mu; body may
+// alias c.sbuf but not c.wbuf.
 func (c *Client) roundTripRaw(body []byte) (reader, byte, error) {
 	if c.err != nil {
 		return reader{}, 0, c.err
 	}
-	var resp []byte
-	if c.version >= Version2 {
-		// A single op rides a batch-of-one envelope: v2 connections carry
-		// exactly one payload format, so the server never has to guess.
-		tag := c.nextTag
-		c.nextTag++
-		c.wbuf = binary.AppendUvarint(c.wbuf[:0], 1)
-		c.wbuf = appendSub(c.wbuf, tag, body)
-		payload, err := c.exchange()
-		if err != nil {
-			return reader{}, 0, err
-		}
-		batch, err := newBatchReader(payload)
-		if err != nil {
-			return reader{}, 0, c.poison(err)
-		}
-		rtag, rbody, ok, err := batch.next()
-		if err != nil {
-			return reader{}, 0, c.poison(err)
-		}
-		if !ok || rtag != tag || batch.n != 0 {
-			return reader{}, 0, c.poison(errDesync)
-		}
-		resp = rbody
-	} else {
-		c.wbuf = append(c.wbuf[:0], body...)
-		payload, err := c.exchange()
-		if err != nil {
-			return reader{}, 0, err
-		}
-		resp = payload
+	tag := c.nextTag
+	c.nextTag++
+	c.wbuf = binary.AppendUvarint(c.wbuf[:0], 1)
+	c.wbuf = appendSub(c.wbuf, tag, body)
+	payload, err := c.exchange()
+	if err != nil {
+		return reader{}, 0, err
 	}
-	r := reader{b: resp}
+	batch, err := newBatchReader(payload)
+	if err != nil {
+		return reader{}, 0, c.poison(err)
+	}
+	rtag, rbody, ok, err := batch.next()
+	if err != nil {
+		return reader{}, 0, c.poison(err)
+	}
+	if !ok || rtag != tag || batch.n != 0 {
+		return reader{}, 0, c.poison(errDesync)
+	}
+	r := reader{b: rbody}
 	status, err := r.byte()
 	if err != nil {
 		return r, 0, err
@@ -261,83 +219,53 @@ func respError(op string, status byte, r *reader) error {
 	return &StatusError{Op: op, Status: status, Msg: r.rest()}
 }
 
+// The single-op methods below decode through the same fill as their
+// batched counterparts, called on a stack value so the response reader
+// stays off the heap.
+
 // Join admits a worker and returns its id.
 func (c *Client) Join(name string) (int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	r, status, err := c.roundTrip(request{op: opJoin, name: name})
-	if err != nil {
-		return 0, err
-	}
-	if status != stOK {
-		return 0, respError("join", status, &r)
-	}
-	id, err := r.uint()
-	if err != nil {
-		return 0, err
-	}
-	return id, r.done()
+	var f JoinResult
+	f.fill(c.roundTrip(request{op: opJoin, name: name}))
+	return f.ID, f.Err
 }
 
 // Heartbeat keeps the worker alive while waiting.
 func (c *Client) Heartbeat(workerID int) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	r, status, err := c.roundTrip(request{op: opHeartbeat, worker: workerID})
-	if err != nil {
-		return err
-	}
-	if status != stOK {
-		return respError("heartbeat", status, &r)
-	}
-	return r.done()
+	f := OpResult{op: "heartbeat"}
+	f.fill(c.roundTrip(request{op: opHeartbeat, worker: workerID}))
+	return f.Err
 }
 
 // Leave removes the worker from the pool.
 func (c *Client) Leave(workerID int) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	r, status, err := c.roundTrip(request{op: opLeave, worker: workerID})
-	if err != nil {
-		return err
-	}
-	if status != stOK {
-		return respError("leave", status, &r)
-	}
-	return r.done()
+	f := OpResult{op: "leave"}
+	f.fill(c.roundTrip(request{op: opLeave, worker: workerID}))
+	return f.Err
 }
 
 // SubmitTasks enqueues tasks and returns their ids.
 func (c *Client) SubmitTasks(tasks []server.TaskSpec) ([]int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	r, status, err := c.roundTrip(request{op: opEnqueue, specs: tasks})
-	if err != nil {
-		return nil, err
-	}
-	if status != stOK {
-		return nil, respError("tasks", status, &r)
-	}
-	return decodeIDs(&r)
+	var f EnqueueResult
+	f.fill(c.roundTrip(request{op: opEnqueue, specs: tasks}))
+	return f.IDs, f.Err
 }
 
 // FetchTask polls for work. ok is false when no work is available yet.
 func (c *Client) FetchTask(workerID int) (a server.Assignment, ok bool, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	r, status, err := c.roundTrip(request{op: opFetch, worker: workerID})
-	if err != nil {
-		return a, false, err
-	}
-	switch status {
-	case stNoWork:
-		return a, false, r.done()
-	case stOK:
-		a, err = decodeAssignment(&r)
-		return a, err == nil, err
-	default:
-		return a, false, respError("fetch task", status, &r)
-	}
+	var f FetchResult
+	f.fill(c.roundTrip(request{op: opFetch, worker: workerID}))
+	return f.Assignment, f.OK, f.Err
 }
 
 // Submit sends a completed assignment. terminated reports that the task
@@ -345,32 +273,18 @@ func (c *Client) FetchTask(workerID int) (a server.Assignment, ok bool, err erro
 func (c *Client) Submit(workerID, taskID int, labels []int) (accepted, terminated bool, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	r, status, err := c.roundTrip(request{op: opSubmit, worker: workerID, task: taskID, labels: labels})
-	if err != nil {
-		return false, false, err
-	}
-	if status != stOK {
-		return false, false, respError("submit", status, &r)
-	}
-	flags, err := r.byte()
-	if err != nil {
-		return false, false, err
-	}
-	return flags&flagAccepted != 0, flags&flagTerminated != 0, r.done()
+	var f SubmitResult
+	f.fill(c.roundTrip(request{op: opSubmit, worker: workerID, task: taskID, labels: labels}))
+	return f.Accepted, f.Terminated, f.Err
 }
 
 // Result fetches a task's status and consensus labels.
 func (c *Client) Result(taskID int) (server.TaskStatus, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	r, status, err := c.roundTrip(request{op: opResult, task: taskID})
-	if err != nil {
-		return server.TaskStatus{}, err
-	}
-	if status != stOK {
-		return server.TaskStatus{}, respError("result", status, &r)
-	}
-	return decodeTaskStatus(&r)
+	var f ResultStatus
+	f.fill(c.roundTrip(request{op: opResult, task: taskID}))
+	return f.Status, f.Err
 }
 
 // ReplPull issues one journal-shipping pull (see ReplPullRequest). The
@@ -406,10 +320,10 @@ func (c *Client) SnapshotJSON() ([]byte, error) {
 }
 
 // SubmitAndFetch coalesces the worker loop's natural op pair — submit the
-// finished assignment, fetch the next one — into a single frame each way
-// on a v2 connection (two sequential round trips on v1). err reports
-// transport failures and the submit's in-band error; a fetch-side in-band
-// error also surfaces through err, after the submit results.
+// finished assignment, fetch the next one — into a single frame each way.
+// err reports transport failures and the submit's in-band error; a
+// fetch-side in-band error also surfaces through err, after the submit
+// results.
 func (c *Client) SubmitAndFetch(workerID, taskID int, labels []int) (accepted, terminated bool, a server.Assignment, ok bool, err error) {
 	b := c.NewBatch()
 	sr := b.Submit(workerID, taskID, labels)
@@ -425,9 +339,12 @@ func (c *Client) SubmitAndFetch(workerID, taskID int, labels []int) (accepted, t
 
 // --- batches ---
 
-// future is one batched op's result slot, filled from its sub-response.
+// future is one op's result slot. fill decodes the op's sub-response
+// body r, whose status byte has been read; a non-nil err — a transport
+// failure, or a body too short to hold a status — becomes the slot's
+// error instead.
 type future interface {
-	fill(status byte, r *reader)
+	fill(r reader, status byte, err error)
 }
 
 // JoinResult is a batched Join's outcome.
@@ -436,27 +353,34 @@ type JoinResult struct {
 	Err error
 }
 
-func (f *JoinResult) fill(status byte, r *reader) {
-	if status != stOK {
-		f.Err = respError("join", status, r)
-		return
-	}
-	if f.ID, f.Err = r.uint(); f.Err == nil {
-		f.Err = r.done()
+func (f *JoinResult) fill(r reader, status byte, err error) {
+	switch {
+	case err != nil:
+		f.Err = err
+	case status != stOK:
+		f.Err = respError("join", status, &r)
+	default:
+		if f.ID, f.Err = r.uint(); f.Err == nil {
+			f.Err = r.done()
+		}
 	}
 }
 
 // OpResult is a batched Heartbeat or Leave outcome.
 type OpResult struct {
 	Err error
+	op  string // names the op in in-band errors: "heartbeat" or "leave"
 }
 
-func (f *OpResult) fill(status byte, r *reader) {
-	if status != stOK {
-		f.Err = respError("op", status, r)
-		return
+func (f *OpResult) fill(r reader, status byte, err error) {
+	switch {
+	case err != nil:
+		f.Err = err
+	case status != stOK:
+		f.Err = respError(f.op, status, &r)
+	default:
+		f.Err = r.done()
 	}
-	f.Err = r.done()
 }
 
 // EnqueueResult is a batched SubmitTasks outcome.
@@ -465,12 +389,15 @@ type EnqueueResult struct {
 	Err error
 }
 
-func (f *EnqueueResult) fill(status byte, r *reader) {
-	if status != stOK {
-		f.Err = respError("tasks", status, r)
-		return
+func (f *EnqueueResult) fill(r reader, status byte, err error) {
+	switch {
+	case err != nil:
+		f.Err = err
+	case status != stOK:
+		f.Err = respError("tasks", status, &r)
+	default:
+		f.IDs, f.Err = decodeIDs(&r)
 	}
-	f.IDs, f.Err = decodeIDs(r)
 }
 
 // FetchResult is a batched FetchTask outcome; OK is false when the server
@@ -481,15 +408,17 @@ type FetchResult struct {
 	Err        error
 }
 
-func (f *FetchResult) fill(status byte, r *reader) {
-	switch status {
-	case stNoWork:
+func (f *FetchResult) fill(r reader, status byte, err error) {
+	switch {
+	case err != nil:
+		f.Err = err
+	case status == stNoWork:
 		f.Err = r.done()
-	case stOK:
-		f.Assignment, f.Err = decodeAssignment(r)
+	case status == stOK:
+		f.Assignment, f.Err = decodeAssignment(&r)
 		f.OK = f.Err == nil
 	default:
-		f.Err = respError("fetch task", status, r)
+		f.Err = respError("fetch task", status, &r)
 	}
 }
 
@@ -500,16 +429,19 @@ type SubmitResult struct {
 	Err        error
 }
 
-func (f *SubmitResult) fill(status byte, r *reader) {
-	if status != stOK {
-		f.Err = respError("submit", status, r)
-		return
+func (f *SubmitResult) fill(r reader, status byte, err error) {
+	switch {
+	case err != nil:
+		f.Err = err
+	case status != stOK:
+		f.Err = respError("submit", status, &r)
+	default:
+		flags, err := r.byte()
+		if err == nil {
+			err = r.done()
+		}
+		f.Accepted, f.Terminated, f.Err = flags&flagAccepted != 0, flags&flagTerminated != 0, err
 	}
-	flags, err := r.byte()
-	if err == nil {
-		err = r.done()
-	}
-	f.Accepted, f.Terminated, f.Err = flags&flagAccepted != 0, flags&flagTerminated != 0, err
 }
 
 // ResultStatus is a batched Result outcome.
@@ -518,12 +450,15 @@ type ResultStatus struct {
 	Err    error
 }
 
-func (f *ResultStatus) fill(status byte, r *reader) {
-	if status != stOK {
-		f.Err = respError("result", status, r)
-		return
+func (f *ResultStatus) fill(r reader, status byte, err error) {
+	switch {
+	case err != nil:
+		f.Err = err
+	case status != stOK:
+		f.Err = respError("result", status, &r)
+	default:
+		f.Status, f.Err = decodeTaskStatus(&r)
 	}
-	f.Status, f.Err = decodeTaskStatus(r)
 }
 
 // Batch collects independent ops to send as tagged sub-requests in as few
@@ -535,8 +470,7 @@ func (f *ResultStatus) fill(status byte, r *reader) {
 //
 // Each method returns a result slot that is valid after Do and until the
 // next Reset. A Batch is not safe for concurrent use; build it in one
-// goroutine, then Do. Against a v1 server Do transparently degrades to
-// one round trip per op with identical semantics.
+// goroutine, then Do.
 type Batch struct {
 	c      *Client
 	bodies []byte // concatenated encoded sub-request bodies
@@ -619,6 +553,7 @@ func (b *Batch) Join(name string) *JoinResult {
 // Heartbeat adds a keep-alive to the batch.
 func (b *Batch) Heartbeat(workerID int) *OpResult {
 	f := b.ops.get()
+	f.op = "heartbeat"
 	b.add(request{op: opHeartbeat, worker: workerID}, f)
 	return f
 }
@@ -626,6 +561,7 @@ func (b *Batch) Heartbeat(workerID int) *OpResult {
 // Leave adds a pool departure to the batch.
 func (b *Batch) Leave(workerID int) *OpResult {
 	f := b.ops.get()
+	f.op = "leave"
 	b.add(request{op: opLeave, worker: workerID}, f)
 	return f
 }
@@ -675,10 +611,6 @@ func (b *Batch) Do() error {
 	if len(b.futs) == 0 {
 		return nil
 	}
-	if c.version < Version2 {
-		return b.doSequential()
-	}
-
 	n := len(b.futs)
 	sent := 0
 	for sent < n {
@@ -734,11 +666,7 @@ func (b *Batch) Do() error {
 			}
 			r := reader{b: body}
 			status, serr := r.byte()
-			if serr != nil {
-				b.setErr(b.futs[sent+idx], serr)
-			} else {
-				b.futs[sent+idx].fill(status, &r)
-			}
+			b.futs[sent+idx].fill(r, status, serr)
 			b.futs[sent+idx] = nil // filled marker doubles as dup-tag guard
 			filled++
 		}
@@ -748,29 +676,6 @@ func (b *Batch) Do() error {
 			return err
 		}
 		sent += chunk
-	}
-	return nil
-}
-
-// doSequential degrades the batch to v1 round trips. Callers hold mu.
-func (b *Batch) doSequential() error {
-	c := b.c
-	off := 0
-	for i, f := range b.futs {
-		c.wbuf = append(c.wbuf[:0], b.bodies[off:b.ends[i]]...)
-		off = b.ends[i]
-		payload, err := c.exchange()
-		if err != nil {
-			b.failFrom(i, err)
-			return err
-		}
-		r := reader{b: payload}
-		status, serr := r.byte()
-		if serr != nil {
-			b.setErr(f, serr)
-			continue
-		}
-		f.fill(status, &r)
 	}
 	return nil
 }
@@ -787,25 +692,7 @@ func (b *Batch) bodyStart(i int) int {
 func (b *Batch) failFrom(i int, err error) {
 	for ; i < len(b.futs); i++ {
 		if b.futs[i] != nil {
-			b.setErr(b.futs[i], err)
+			b.futs[i].fill(reader{}, 0, err)
 		}
-	}
-}
-
-// setErr stores a transport-level error into a result slot.
-func (b *Batch) setErr(f future, err error) {
-	switch f := f.(type) {
-	case *JoinResult:
-		f.Err = err
-	case *OpResult:
-		f.Err = err
-	case *EnqueueResult:
-		f.Err = err
-	case *FetchResult:
-		f.Err = err
-	case *SubmitResult:
-		f.Err = err
-	case *ResultStatus:
-		f.Err = err
 	}
 }

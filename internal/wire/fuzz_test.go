@@ -4,10 +4,15 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"io"
+	"net"
 	"reflect"
+	"slices"
 	"testing"
+	"time"
 
 	"github.com/clamshell/clamshell/internal/server"
+	"github.com/clamshell/clamshell/internal/server/servertest"
 )
 
 // FuzzWireFrame feeds arbitrary bytes to the frame reader: malformed
@@ -161,41 +166,178 @@ func FuzzBatchFrame(f *testing.F) {
 	})
 }
 
-// FuzzHandshake feeds arbitrary preamble bytes to the server-side version
-// negotiation: it must accept exactly the preambles with the right magic
-// and a version in [1, MaxVersion], echo that same version back, and
-// reject everything else without panicking or over-reading.
+// FuzzHandshake feeds arbitrary preamble bytes to the server side of the
+// handshake: it must accept exactly Magic, echo it back, and reject
+// everything else — v1's preamble included — without panicking or
+// over-reading.
 func FuzzHandshake(f *testing.F) {
-	f.Add([]byte(MagicV1))
+	f.Add([]byte("CLAMWIR\x01")) // v1
 	f.Add([]byte(Magic))
-	f.Add([]byte(magicPrefix + "\x00")) // version below the floor
-	f.Add([]byte(magicPrefix + "\x03")) // version beyond MaxVersion
-	f.Add([]byte("XLAMWIR\x01"))        // wrong magic
-	f.Add([]byte(magicPrefix))          // truncated: no version byte
+	f.Add([]byte("CLAMWIR\x00")) // version below the floor
+	f.Add([]byte("CLAMWIR\x03")) // a newer version
+	f.Add([]byte("XLAMWIR\x02")) // wrong magic
+	f.Add([]byte("CLAMWIR"))     // truncated: no version byte
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var out bytes.Buffer
 		br := bufio.NewReader(bytes.NewReader(data))
 		bw := bufio.NewWriter(&out)
-		v, err := serverHandshake(br, bw)
-		valid := len(data) >= len(magicPrefix)+1 &&
-			string(data[:len(magicPrefix)]) == magicPrefix &&
-			data[len(magicPrefix)] >= Version1 && data[len(magicPrefix)] <= MaxVersion
-		if !valid {
+		err := serverHandshake(br, bw)
+		if !bytes.HasPrefix(data, []byte(Magic)) {
 			if err == nil {
 				t.Fatalf("accepted invalid preamble %q", data)
 			}
 			return
 		}
 		if err != nil {
-			t.Fatalf("rejected valid preamble %q: %v", data[:len(magicPrefix)+1], err)
+			t.Fatalf("rejected valid preamble: %v", err)
 		}
-		if v != data[len(magicPrefix)] {
-			t.Fatalf("negotiated v%d for offered v%d", v, data[len(magicPrefix)])
-		}
-		if out.String() != magicPrefix+string(v) {
-			t.Fatalf("echoed %q, want %q", out.String(), magicPrefix+string(v))
+		if out.String() != Magic {
+			t.Fatalf("echoed %q, want %q", out.String(), Magic)
 		}
 	})
+}
+
+// FuzzServeConn writes a valid preamble and then arbitrary bytes into the
+// serving loop over a net.Pipe, reading the responses concurrently. No
+// input may panic the server; every request frame that is intact and
+// well-enveloped must be answered, in order, by an envelope with one
+// sub-response per sub-request whose tags are the request's; the first
+// framing or envelope violation ends the connection without an answer;
+// and the serving goroutine must exit once the peer hangs up.
+func FuzzServeConn(f *testing.F) {
+	frame := func(payloads ...[]byte) []byte {
+		var b bytes.Buffer
+		bw := bufio.NewWriter(&b)
+		for _, p := range payloads {
+			writeFrame(bw, p)
+		}
+		bw.Flush()
+		return b.Bytes()
+	}
+	env := func(bodies ...[]byte) []byte {
+		e := binary.AppendUvarint(nil, uint64(len(bodies)))
+		for i, body := range bodies {
+			e = appendSub(e, uint64(i)+7, body)
+		}
+		return e
+	}
+	join := encodeRequest(nil, request{op: opJoin, name: "w"})
+	enqueue := encodeRequest(nil, request{op: opEnqueue, specs: []server.TaskSpec{{Records: []string{"r"}, Classes: 2, Quorum: 1}}})
+	fetch := encodeRequest(nil, request{op: opFetch, worker: 1})
+	submit := encodeRequest(nil, request{op: opSubmit, worker: 1, task: 1, labels: []int{1}})
+	f.Add(frame(env(join, enqueue, fetch), env(submit), env(encodeRequest(nil, request{op: opResult, task: 1}))))
+	f.Add(frame(env([]byte{0}), env(join[:2]), env(encodeSnapshotReq(nil)))) // in-band errors
+	f.Add(frame(env(), env(join, join)))                                     // empty envelope, duplicate tags
+	f.Add(frame(binary.AppendUvarint(nil, MaxBatch+1)))                      // hostile count
+	corrupt := frame(env(join), env(fetch))
+	corrupt[len(corrupt)-1] ^= 0x40
+	f.Add(append(corrupt, frame(env(fetch))...)) // CRC mismatch, then a frame that must go unanswered
+	f.Add(frame(env(join))[:5])                  // truncated frame
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		t.Cleanup(servertest.VerifyNone(t))
+		// The server answers every frame up to the first one it must drop.
+		var want [][]uint64
+		for br := bufio.NewReader(bytes.NewReader(data)); ; {
+			payload, err := readFrame(br, nil)
+			if err != nil {
+				break
+			}
+			tags, err := envelopeTags(payload)
+			if err != nil {
+				break
+			}
+			want = append(want, tags)
+		}
+
+		sh := server.NewShard(server.Config{WorkerTimeout: time.Hour}, 0, 1)
+		cliConn, srvConn := net.Pipe()
+		defer cliConn.Close()
+		cliConn.SetDeadline(time.Now().Add(10 * time.Second))
+		msg := append([]byte(Magic), data...)
+		served := make(chan struct{})
+		go func() {
+			NewServer(sh).ServeConn(&eofAfter{Conn: srvConn, n: len(msg)})
+			close(served)
+		}()
+		wrote := make(chan struct{})
+		go func() { cliConn.Write(msg); close(wrote) }()
+
+		br := bufio.NewReader(cliConn)
+		echo := make([]byte, len(Magic))
+		if _, err := io.ReadFull(br, echo); err != nil || string(echo) != Magic {
+			t.Fatalf("handshake echo %q: %v", echo, err)
+		}
+		var got [][]uint64
+		for {
+			payload, err := readFrame(br, nil)
+			if err == io.EOF {
+				break // the server hung up
+			}
+			if err != nil {
+				t.Fatalf("response %d: %v", len(got)+1, err)
+			}
+			tags, err := envelopeTags(payload)
+			if err != nil {
+				t.Fatalf("response %d is not an envelope: %v", len(got)+1, err)
+			}
+			got = append(got, tags)
+		}
+		select {
+		case <-served:
+		case <-time.After(5 * time.Second):
+			t.Fatal("serving goroutine still running after the peer hung up")
+		}
+		<-wrote
+		if len(got) != len(want) {
+			t.Fatalf("server answered %d frames, want %d", len(got), len(want))
+		}
+		for i := range want {
+			if !slices.Equal(got[i], want[i]) {
+				t.Fatalf("response %d tags %v, request tags %v", i+1, got[i], want[i])
+			}
+		}
+	})
+}
+
+// eofAfter ends a server connection's read side after n bytes, the way a
+// client's half-close would (net.Pipe has none), so the serving loop sees
+// a clean disconnect once it has consumed everything the client sent.
+type eofAfter struct {
+	net.Conn
+	n int
+}
+
+func (c *eofAfter) Read(p []byte) (int, error) {
+	if c.n == 0 {
+		return 0, io.EOF
+	}
+	if len(p) > c.n {
+		p = p[:c.n]
+	}
+	k, err := c.Conn.Read(p)
+	c.n -= k
+	return k, err
+}
+
+// envelopeTags decodes a whole envelope and returns its sub-message tags.
+func envelopeTags(payload []byte) ([]uint64, error) {
+	batch, err := newBatchReader(payload)
+	if err != nil {
+		return nil, err
+	}
+	tags := []uint64{}
+	for {
+		tag, _, ok, err := batch.next()
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			return tags, nil
+		}
+		tags = append(tags, tag)
+	}
 }

@@ -28,14 +28,13 @@ var (
 	_ hotAPI = (*wire.Client)(nil)
 )
 
-// TestWireHTTPParity drives an identical op sequence through three
+// TestWireHTTPParity drives an identical op sequence through two
 // identically-configured fabrics — one over the JSON/HTTP transport, one
-// over wire protocol v2, one over a client pinned to wire v1 (the
-// v1-client↔v2-server compatibility path) — under a shared fake clock,
+// over the wire transport's single-op calls — under a shared fake clock,
 // comparing every response tuple, and finally proves the fabrics hold
-// byte-identical durable state via /api/snapshot. All transports are thin
+// byte-identical durable state via /api/snapshot. Both transports are thin
 // shims over the same server.Core, and this is the test that keeps them
-// that way.
+// that way (TestWireBatchedParity adds batched wire frames).
 func TestWireHTTPParity(t *testing.T) {
 	now := time.Unix(1_700_000_000, 0)
 	cfg := server.Config{
@@ -46,7 +45,6 @@ func TestWireHTTPParity(t *testing.T) {
 	const shards = 4
 	httpFab := fabric.New(cfg, shards)
 	wireFab := fabric.New(cfg, shards)
-	wireV1Fab := fabric.New(cfg, shards)
 
 	ts := httptest.NewServer(httpFab)
 	defer ts.Close()
@@ -59,22 +57,8 @@ func TestWireHTTPParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer wireCl.Close()
-	if wireCl.Version() != wire.Version2 {
-		t.Fatalf("default client negotiated v%d, want v2", wireCl.Version())
-	}
 
-	v1Conn, v1Srv := net.Pipe()
-	go wire.NewServer(wireV1Fab).ServeConn(v1Srv)
-	wireV1Cl, err := wire.NewClientVersion(v1Conn, wire.Version1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer wireV1Cl.Close()
-	if wireV1Cl.Version() != wire.Version1 {
-		t.Fatalf("pinned client negotiated v%d, want v1", wireV1Cl.Version())
-	}
-
-	both := []hotAPI{httpCl, wireCl, wireV1Cl}
+	both := []hotAPI{httpCl, wireCl}
 
 	join := func(name string) int {
 		t.Helper()
@@ -202,9 +186,9 @@ func TestWireHTTPParity(t *testing.T) {
 		}
 	}
 
-	// The acceptance check: byte-identical durable state across HTTP,
-	// wire v2, and wire v1.
-	compareSnapshots(t, []*fabric.Fabric{httpFab, wireFab, wireV1Fab})
+	// The acceptance check: byte-identical durable state across HTTP and
+	// wire.
+	compareSnapshots(t, []*fabric.Fabric{httpFab, wireFab})
 }
 
 // compareSnapshots requires every fabric's /api/snapshot document to be
@@ -229,10 +213,10 @@ func compareSnapshots(t *testing.T, fabs []*fabric.Fabric) {
 }
 
 // TestWireBatchedParity issues one identical op sequence three ways —
-// wire v1 strict request/response, wire v2 single-op envelopes, and wire
-// v2 multi-op batched frames — against three identically-configured
-// fabrics under a fixed clock, comparing per-op results and requiring
-// byte-identical /api/snapshot state. Batching is pure framing: the
+// JSON/HTTP, wire single-op calls, and wire multi-op batched frames —
+// against three identically-configured fabrics under a fixed clock,
+// comparing per-op results and requiring byte-identical /api/snapshot
+// state. Batching is pure framing: the
 // server applies a batch's sub-requests in order, so coalescing must not
 // be observable in the routing state.
 func TestWireBatchedParity(t *testing.T) {
@@ -243,22 +227,24 @@ func TestWireBatchedParity(t *testing.T) {
 		Now:              func() time.Time { return now },
 	}
 	const shards = 4
-	newWire := func(version byte) (*fabric.Fabric, *wire.Client) {
+	newWire := func() (*fabric.Fabric, *wire.Client) {
 		t.Helper()
 		fab := fabric.New(cfg, shards)
 		cliConn, srvConn := net.Pipe()
 		go wire.NewServer(fab).ServeConn(srvConn)
-		cl, err := wire.NewClientVersion(cliConn, version)
+		cl, err := wire.NewClient(cliConn)
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { cl.Close() })
 		return fab, cl
 	}
-	fabV1, clV1 := newWire(wire.Version1)
-	fabV2, clV2 := newWire(wire.Version2)
-	fabBatch, clBatch := newWire(wire.Version2)
-	sequential := []*wire.Client{clV1, clV2}
+	fabHTTP := fabric.New(cfg, shards)
+	ts := httptest.NewServer(fabHTTP)
+	defer ts.Close()
+	fabSingle, clSingle := newWire()
+	fabBatch, clBatch := newWire()
+	sequential := []hotAPI{server.NewClient(ts.URL), clSingle}
 
 	workers := []string{"alice", "bob", "carol"}
 	ids := make([]int, len(workers))
@@ -432,5 +418,5 @@ func TestWireBatchedParity(t *testing.T) {
 		}
 	}
 
-	compareSnapshots(t, []*fabric.Fabric{fabV1, fabV2, fabBatch})
+	compareSnapshots(t, []*fabric.Fabric{fabHTTP, fabSingle, fabBatch})
 }

@@ -39,10 +39,9 @@ type SnapshotSource interface {
 // Server speaks the wire protocol over persistent connections, dispatching
 // every request to a transport-agnostic server.Core — the same core the
 // HTTP shim fronts, so the two transports cannot diverge. One goroutine
-// serves each connection. A v1 peer is served strict request/response; a
-// v2 peer sends tagged batch envelopes and may keep several frames in
-// flight, which the server answers in arrival order (tags, not order, are
-// the correlation contract).
+// serves each connection. A peer sends tagged batch envelopes and may keep
+// several frames in flight, which the server answers in arrival order
+// (tags, not order, are the correlation contract).
 type Server struct {
 	core server.Core
 	obs  *server.Obs
@@ -255,7 +254,7 @@ func (s *Server) ServeConn(conn net.Conn) {
 	br := bufio.NewReaderSize(conn, 8<<10)
 	bw := bufio.NewWriterSize(conn, 8<<10)
 	// A silent peer must not pin this goroutine: the preamble gets a read
-	// deadline, cleared once the version exchange completes (the request
+	// deadline, cleared once the preamble exchange completes (the request
 	// loop's liveness is the peer's business — workers legitimately idle).
 	hsTimeout := s.HandshakeTimeout
 	if hsTimeout <= 0 {
@@ -264,8 +263,7 @@ func (s *Server) ServeConn(conn net.Conn) {
 	if err := conn.SetReadDeadline(time.Now().Add(hsTimeout)); err != nil {
 		return
 	}
-	version, err := serverHandshake(br, bw)
-	if err != nil {
+	if err := serverHandshake(br, bw); err != nil {
 		return
 	}
 	if err := conn.SetReadDeadline(time.Time{}); err != nil {
@@ -290,56 +288,18 @@ func (s *Server) ServeConn(conn net.Conn) {
 		cs.tokens = cs.burst
 		cs.last = time.Now()
 	}
-	if version >= Version2 {
-		s.serveV2(br, bw, cs)
-		return
-	}
-	s.serveV1(br, bw, cs)
+	s.serve(br, bw, cs)
 }
 
-// serveV1 is the legacy strict request/response loop: one request payload
-// per frame, one response frame per request.
-func (s *Server) serveV1(br *bufio.Reader, bw *bufio.Writer, cs *connState) {
-	var reqBuf, respBuf []byte
-	for {
-		payload, err := readFrame(br, reqBuf)
-		if err != nil {
-			// A clean disconnect ends the loop; framing corruption (bad CRC,
-			// oversized length) cannot be resynchronized, so the connection
-			// is dropped either way.
-			return
-		}
-		reqBuf = payload[:0:cap(payload)]
-		mut := len(payload) > 0 && mutatingOp(payload[0])
-		respBuf = s.serveRequest(payload, respBuf[:0], cs)
-		if mut && s.Barrier != nil {
-			s.Barrier()
-		}
-		if len(respBuf) > MaxFrame {
-			// The core produced a response too large to frame (e.g. an
-			// assignment whose records were enqueued over HTTP, which has no
-			// size cap). Answer in-band rather than dropping the connection:
-			// a drop would re-deliver the same in-flight assignment on
-			// reconnect and wedge the worker on it forever.
-			respBuf = appendError(respBuf[:0], stBadRequest, ErrTooLarge.Error())
-		}
-		if err := writeFrame(bw, respBuf); err != nil {
-			return
-		}
-		if err := bw.Flush(); err != nil {
-			return
-		}
-	}
-}
-
-// serveV2 is the batched loop: each frame is an envelope of tagged
+// serve is the request loop: each frame is an envelope of tagged
 // sub-requests, answered with one envelope of equally tagged
 // sub-responses — one write(2) and one CRC however many ops the client
-// coalesced. Envelope-level violations (hostile count, sub-framing that
-// doesn't add up) cannot be attributed to a tag and drop the connection,
-// exactly like frame-level corruption; malformed sub-request *payloads*
+// coalesced. A clean disconnect ends the loop. Framing corruption (bad
+// CRC, oversized length) and envelope-level violations (hostile count,
+// sub-framing that doesn't add up) cannot be resynchronized or attributed
+// to a tag, so they drop the connection; malformed sub-request *payloads*
 // are answered in-band under their tag.
-func (s *Server) serveV2(br *bufio.Reader, bw *bufio.Writer, cs *connState) {
+func (s *Server) serve(br *bufio.Reader, bw *bufio.Writer, cs *connState) {
 	var reqBuf, envBuf, subBuf []byte
 	for {
 		payload, err := readFrame(br, reqBuf)
@@ -364,10 +324,11 @@ func (s *Server) serveV2(br *bufio.Reader, bw *bufio.Writer, cs *connState) {
 			mut = mut || (len(body) > 0 && mutatingOp(body[0]))
 			subBuf = s.serveRequest(body, subBuf[:0], cs)
 			// Budget guard: a sub-response that would push the envelope past
-			// MaxFrame is replaced with an in-band error under its tag (same
-			// rationale as v1's oversized-response path — dropping would
-			// wedge the worker on a re-delivered assignment). 2×MaxVarintLen64
-			// covers the tag+length headers.
+			// MaxFrame (e.g. an assignment whose records were enqueued over
+			// HTTP, which has no size cap) is replaced with an in-band error
+			// under its tag. Dropping the connection instead would re-deliver
+			// the same in-flight assignment on reconnect and wedge the worker
+			// on it forever. 2×MaxVarintLen64 covers the tag+length headers.
 			if len(envBuf)+2*binary.MaxVarintLen64+len(subBuf) > MaxFrame {
 				subBuf = appendError(subBuf[:0], stBadRequest, ErrTooLarge.Error())
 			}
@@ -389,9 +350,7 @@ func (s *Server) serveV2(br *bufio.Reader, bw *bufio.Writer, cs *connState) {
 }
 
 // serveRequest decodes, rate-limits, dispatches, and instruments one
-// request payload, appending the response body to respBuf. Shared by the
-// v1 frame loop and the v2 sub-request loop, so both framings cannot
-// drift in semantics.
+// sub-request body, appending the sub-response body to respBuf.
 func (s *Server) serveRequest(payload, respBuf []byte, cs *connState) []byte {
 	if len(payload) > 0 && payload[0] >= opSnapshot {
 		// Control-plane opcodes bypass rate limiting and per-op worker

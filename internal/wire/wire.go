@@ -13,33 +13,30 @@
 //
 // Connection lifecycle:
 //
-//	client → server: 8-byte magic "CLAMWIR" + version byte (\x01 or \x02)
-//	server → client: the same prefix + the negotiated version
-//	then framed messages in the negotiated version's payload format.
+//	client → server: the 8-byte preamble Magic ("CLAMWIR\x02")
+//	server → client: the same 8 bytes
+//	then framed batch envelopes in both directions.
 //
-// The server accepts any version up to MaxVersion and echoes the peer's
-// version back, so a v1 client is served byte-for-byte as before; a
-// client offers its preferred version and accepts any echo at or below
-// it. A peer seeing an unsupported version refuses the connection rather
-// than misreading frames.
+// A peer whose preamble is not exactly Magic — another protocol, or an
+// older or newer version of this one — is refused before any frame is
+// exchanged, rather than having its frames misread.
 //
-// Frame layout, identical in both versions (everything little-endian):
+// Frame layout (everything little-endian):
 //
 //	[uvarint payload length][4-byte CRC-32C of payload][payload]
 //
-// Version 1 payloads are exactly one request (client→server) or one
-// response (server→client), strictly alternating. Version 2 payloads are
-// batch envelopes — a vector of tagged sub-messages:
+// Every payload is a batch envelope — a vector of tagged sub-messages:
 //
 //	[uvarint count] then per sub-message [uvarint tag][uvarint len][len bytes]
 //
 // so a client coalesces any number of independent ops into one frame (one
 // CRC, one write(2), one read wake-up) and keeps several frames in flight
-// on one connection. The server answers every sub-request with a
-// sub-response carrying the same tag; it currently answers each request
-// frame with one in-order response frame, but tags — not arrival order —
-// are the correlation contract, so a future server may legally reorder.
-// Sub-message bodies reuse the v1 request/response codecs unchanged.
+// on one connection; a single op rides a batch of one. The server answers
+// every sub-request with a sub-response carrying the same tag; it
+// currently answers each request frame with one in-order response frame,
+// but tags — not arrival order — are the correlation contract, so a
+// future server may legally reorder. Sub-message bodies are one request
+// or one response in the typed codecs of codec.go.
 package wire
 
 import (
@@ -51,32 +48,16 @@ import (
 	"io"
 )
 
-// magicPrefix is the version-independent part of the connection preamble.
-const magicPrefix = "CLAMWIR"
-
-// Protocol versions. Version1 is the original strict request/response
-// framing; Version2 adds tagged batch envelopes (and with them client
-// pipelining) plus the in-band throttle status.
-const (
-	Version1 byte = 1
-	Version2 byte = 2
-	// MaxVersion is the newest version this implementation speaks.
-	MaxVersion = Version2
-)
-
-// Magic is the preferred (v2) connection preamble; MagicV1 is the legacy
-// one. The trailing byte is the protocol version.
-const (
-	Magic   = magicPrefix + "\x02"
-	MagicV1 = magicPrefix + "\x01"
-)
+// Magic is the connection preamble. Its trailing byte is the protocol
+// version; both ends require an exact match.
+const Magic = "CLAMWIR\x02"
 
 // MaxFrame caps a frame's payload, mirroring journal.MaxRecord: the length
 // prefix of a corrupt or hostile peer is checked against it before any
 // allocation, so a bad frame cannot balloon memory.
 const MaxFrame = 1 << 24 // 16 MiB
 
-// MaxBatch caps the sub-messages in one v2 envelope. The client splits
+// MaxBatch caps the sub-messages in one envelope. The client splits
 // larger batches across frames; the server drops a connection exceeding
 // it (a protocol violation, like an oversized frame). The cap bounds the
 // worst-case response envelope: MaxBatch tiny error sub-responses still
@@ -90,7 +71,7 @@ var (
 	ErrTooLarge = errors.New("wire: frame length exceeds limit")
 	// ErrBadMagic reports a connection preamble from an incompatible peer.
 	ErrBadMagic = errors.New("wire: bad protocol magic (incompatible version?)")
-	// ErrBatchCount reports a v2 envelope with a hostile sub-message count.
+	// ErrBatchCount reports an envelope with a hostile sub-message count.
 	ErrBatchCount = errors.New("wire: batch count exceeds limit")
 	// ErrThrottled reports an op refused by the server's per-connection
 	// rate limit. The connection is still healthy; back off and retry.
@@ -177,7 +158,7 @@ func writeFrame(bw *bufio.Writer, payload []byte) error {
 	return err
 }
 
-// --- v2 batch envelope ---
+// --- batch envelope ---
 
 // appendSub appends one tagged sub-message to a batch envelope under
 // construction (the caller has already appended the count).
@@ -187,7 +168,7 @@ func appendSub(buf []byte, tag uint64, body []byte) []byte {
 	return append(buf, body...)
 }
 
-// batchReader iterates the sub-messages of a v2 envelope. Decoding is
+// batchReader iterates the sub-messages of an envelope. Decoding is
 // strict: the count is sanity-checked against the remaining payload
 // before iteration (each sub-message takes at least two bytes), every
 // sub-length is validated against the remainder, and trailing garbage
@@ -243,50 +224,43 @@ func (br *batchReader) next() (tag uint64, body []byte, ok bool, err error) {
 
 // --- handshake ---
 
-// serverHandshake reads the peer's preamble, validates it, and echoes the
-// negotiated version. It accepts any version in [1, MaxVersion].
+// serverHandshake reads the peer's preamble, requires it to be exactly
+// Magic, and echoes it.
 //
 //clamshell:coldpath once per connection, before the request loop
-func serverHandshake(br *bufio.Reader, bw *bufio.Writer) (byte, error) {
-	var m [len(magicPrefix) + 1]byte
-	if _, err := io.ReadFull(br, m[:]); err != nil {
-		return 0, fmt.Errorf("wire: reading handshake: %w", err)
+func serverHandshake(br *bufio.Reader, bw *bufio.Writer) error {
+	if err := readMagic(br); err != nil {
+		return err
 	}
-	version := m[len(magicPrefix)]
-	if string(m[:len(magicPrefix)]) != magicPrefix || version < Version1 || version > MaxVersion {
-		return 0, ErrBadMagic
+	if _, err := bw.WriteString(Magic); err != nil {
+		return err
 	}
-	if _, err := bw.WriteString(magicPrefix); err != nil {
-		return 0, err
-	}
-	if err := bw.WriteByte(version); err != nil {
-		return 0, err
-	}
-	return version, bw.Flush()
+	return bw.Flush()
 }
 
-// clientHandshake offers prefer and returns the version the server
-// negotiated (always ≤ prefer; a server that answers with a higher or
-// unknown version is refused).
+// clientHandshake sends Magic and requires the server to echo it.
 //
 //clamshell:coldpath once per connection, before the request loop
-func clientHandshake(br *bufio.Reader, bw *bufio.Writer, prefer byte) (byte, error) {
-	if _, err := bw.WriteString(magicPrefix); err != nil {
-		return 0, err
-	}
-	if err := bw.WriteByte(prefer); err != nil {
-		return 0, err
+func clientHandshake(br *bufio.Reader, bw *bufio.Writer) error {
+	if _, err := bw.WriteString(Magic); err != nil {
+		return err
 	}
 	if err := bw.Flush(); err != nil {
-		return 0, err
+		return err
 	}
-	var m [len(magicPrefix) + 1]byte
+	return readMagic(br)
+}
+
+// readMagic reads one preamble and refuses anything but Magic.
+//
+//clamshell:coldpath once per connection, before the request loop
+func readMagic(br *bufio.Reader) error {
+	var m [len(Magic)]byte
 	if _, err := io.ReadFull(br, m[:]); err != nil {
-		return 0, fmt.Errorf("wire: reading handshake: %w", err)
+		return fmt.Errorf("wire: reading handshake: %w", err)
 	}
-	version := m[len(magicPrefix)]
-	if string(m[:len(magicPrefix)]) != magicPrefix || version < Version1 || version > prefer {
-		return 0, ErrBadMagic
+	if string(m[:]) != Magic {
+		return ErrBadMagic
 	}
-	return version, nil
+	return nil
 }

@@ -3,6 +3,7 @@ package wire
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"net"
 	"reflect"
 	"strings"
@@ -173,10 +174,10 @@ func TestWireTCP(t *testing.T) {
 	}
 }
 
-// A client with the wrong magic — bad prefix or a version beyond
-// MaxVersion — is refused before any frame is exchanged.
+// A client whose preamble is not exactly Magic — bad prefix or any other
+// version byte — is refused before any frame is exchanged.
 func TestWireHandshakeRejectsBadMagic(t *testing.T) {
-	for _, magic := range []string{"XLAMWIR\x01", "CLAMWIR\x00", "CLAMWIR\x03"} {
+	for _, magic := range []string{"XLAMWIR\x02", "CLAMWIR\x00", "CLAMWIR\x01", "CLAMWIR\x03"} {
 		sh := server.NewShard(server.Config{}, 0, 1)
 		cliConn, srvConn := net.Pipe()
 		srvDone := make(chan struct{})
@@ -194,53 +195,125 @@ func TestWireHandshakeRejectsBadMagic(t *testing.T) {
 	}
 }
 
+// rawConn is a handshaken connection that sends hand-built sub-request
+// bodies, each as a batch of one, so tests can put bytes on the wire that
+// the Client would never encode.
+type rawConn struct {
+	t   *testing.T
+	br  *bufio.Reader
+	bw  *bufio.Writer
+	tag uint64
+}
+
+// dialRaw serves core over a net.Pipe and handshakes a rawConn to it. The
+// returned conn is the client end, closed at cleanup.
+func dialRaw(t *testing.T, core server.Core) (*rawConn, net.Conn) {
+	t.Helper()
+	t.Cleanup(servertest.VerifyNone(t))
+	cliConn, srvConn := net.Pipe()
+	go NewServer(core).ServeConn(srvConn)
+	t.Cleanup(func() { cliConn.Close() })
+	rc := &rawConn{t: t, br: bufio.NewReader(cliConn), bw: bufio.NewWriter(cliConn)}
+	if err := clientHandshake(rc.br, rc.bw); err != nil {
+		t.Fatalf("handshake: %v", err)
+	}
+	return rc, cliConn
+}
+
+// send writes body as a batch of one and returns the status byte of the
+// sub-response, which must carry the request's tag.
+func (rc *rawConn) send(body []byte) byte {
+	rc.t.Helper()
+	rc.tag++
+	env := appendSub(binary.AppendUvarint(nil, 1), rc.tag, body)
+	if err := writeFrame(rc.bw, env); err != nil {
+		rc.t.Fatal(err)
+	}
+	if err := rc.bw.Flush(); err != nil {
+		rc.t.Fatal(err)
+	}
+	resp, err := readFrame(rc.br, nil)
+	if err != nil {
+		rc.t.Fatalf("read response: %v", err)
+	}
+	batch, err := newBatchReader(resp)
+	if err != nil || batch.n != 1 {
+		rc.t.Fatalf("response envelope: n=%d err=%v", batch.n, err)
+	}
+	tag, sub, ok, err := batch.next()
+	if err != nil || !ok || tag != rc.tag || len(sub) == 0 {
+		rc.t.Fatalf("sub-response: tag=%d (want %d) body=%v ok=%v err=%v", tag, rc.tag, sub, ok, err)
+	}
+	return sub[0]
+}
+
 // A malformed payload inside an intact frame is answered in-band and the
 // connection keeps working; framing-level corruption drops the connection.
 func TestWireMalformedPayloadKeepsConnection(t *testing.T) {
+	sh := server.NewShard(server.Config{WorkerTimeout: time.Hour}, 0, 1)
+	rc, cliConn := dialRaw(t, sh)
+
+	// Opcode 0 is unknown: expect a stBadRequest response.
+	if st := rc.send([]byte{0}); st != stBadRequest {
+		t.Fatalf("unknown opcode status = %d", st)
+	}
+	// A truncated join (name length past the payload) also answers in-band.
+	if st := rc.send([]byte{opJoin, 200}); st != stBadRequest {
+		t.Fatalf("truncated join status = %d", st)
+	}
+	// The connection still serves well-formed requests afterwards.
+	if st := rc.send(encodeRequest(nil, request{op: opJoin, name: "ok"})); st != stOK {
+		t.Fatalf("join after malformed payload status = %d", st)
+	}
+
+	// A frame whose payload fails its CRC cannot be resynchronized: the
+	// server drops the connection without answering.
+	var frame bytes.Buffer
+	fbw := bufio.NewWriter(&frame)
+	writeFrame(fbw, appendSub(binary.AppendUvarint(nil, 1), 9, encodeRequest(nil, request{op: opJoin, name: "bad"})))
+	fbw.Flush()
+	raw := frame.Bytes()
+	raw[len(raw)-1] ^= 0x40
+	cliConn.SetDeadline(time.Now().Add(2 * time.Second))
+	if _, err := cliConn.Write(raw); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := readFrame(rc.br, nil); err == nil {
+		t.Fatal("server answered a corrupt frame instead of dropping")
+	}
+	if sh.CoreHeartbeat(2) {
+		t.Fatal("the corrupt frame's join was served")
+	}
+}
+
+// A v1 peer's preamble is refused like any bad magic: the server drops
+// the connection without answering and serves none of the requests the
+// peer sends after it.
+func TestWireV1PreambleRefused(t *testing.T) {
 	t.Cleanup(servertest.VerifyNone(t))
 	sh := server.NewShard(server.Config{WorkerTimeout: time.Hour}, 0, 1)
 	cliConn, srvConn := net.Pipe()
-	go NewServer(sh).ServeConn(srvConn)
-	t.Cleanup(func() { cliConn.Close() })
+	defer cliConn.Close()
+	srvDone := make(chan struct{})
+	go func() { NewServer(sh).ServeConn(srvConn); close(srvDone) }()
+	cliConn.SetDeadline(time.Now().Add(2 * time.Second))
 
-	br := bufio.NewReader(cliConn)
-	bw := bufio.NewWriter(cliConn)
-	if v, err := clientHandshake(br, bw, Version1); err != nil || v != Version1 {
-		t.Fatalf("v1 handshake: version=%d err=%v", v, err)
+	// A v1 session: the old preamble, then a bare join request frame.
+	var msg bytes.Buffer
+	bw := bufio.NewWriter(&msg)
+	bw.WriteString("CLAMWIR\x01")
+	writeFrame(bw, encodeRequest(nil, request{op: opJoin, name: "legacy"}))
+	bw.Flush()
+	go cliConn.Write(msg.Bytes()) // fails once the server hangs up
+	if n, err := cliConn.Read(make([]byte, 1)); err == nil {
+		t.Fatalf("server answered %d bytes to a v1 preamble", n)
 	}
-	// Opcode 0 is unknown: expect a stBadRequest response.
-	if err := writeFrame(bw, []byte{0}); err != nil {
-		t.Fatal(err)
+	<-srvDone
+	if sh.CoreHeartbeat(1) {
+		t.Fatal("a v1 join was served")
 	}
-	if err := bw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := readFrame(br, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(resp) == 0 || resp[0] != stBadRequest {
-		t.Fatalf("malformed payload response = %v", resp)
-	}
-	// A truncated join (name length past the payload) also answers in-band.
-	if err := writeFrame(bw, []byte{opJoin, 200}); err != nil {
-		t.Fatal(err)
-	}
-	if err := bw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if resp, err = readFrame(br, nil); err != nil || resp[0] != stBadRequest {
-		t.Fatalf("truncated join response = %v err=%v", resp, err)
-	}
-	// The connection still serves well-formed requests afterwards.
-	if err := writeFrame(bw, encodeRequest(nil, request{op: opJoin, name: "ok"})); err != nil {
-		t.Fatal(err)
-	}
-	if err := bw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if resp, err = readFrame(br, nil); err != nil || resp[0] != stOK {
-		t.Fatalf("join after malformed payload = %v err=%v", resp, err)
+	if snap := sh.Obs().ConnSnapshot(); len(snap) != 0 {
+		t.Fatalf("refused connection was accounted: %+v", snap)
 	}
 }
 
@@ -336,44 +409,22 @@ func TestRequestCodecRoundTrip(t *testing.T) {
 // ops and strict-decoder rejections land on the connection's cell, and the
 // counts surface through the core's observability plane.
 func TestWireConnStatsAccounting(t *testing.T) {
-	t.Cleanup(servertest.VerifyNone(t))
 	sh := server.NewShard(server.Config{WorkerTimeout: time.Hour}, 0, 1)
-	cliConn, srvConn := net.Pipe()
-	go NewServer(sh).ServeConn(srvConn)
-	t.Cleanup(func() { cliConn.Close() })
+	rc, _ := dialRaw(t, sh)
 
-	br := bufio.NewReader(cliConn)
-	bw := bufio.NewWriter(cliConn)
-	if v, err := clientHandshake(br, bw, Version1); err != nil || v != Version1 {
-		t.Fatalf("v1 handshake: version=%d err=%v", v, err)
-	}
-	send := func(payload []byte) byte {
-		t.Helper()
-		if err := writeFrame(bw, payload); err != nil {
-			t.Fatal(err)
-		}
-		if err := bw.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		resp, err := readFrame(br, nil)
-		if err != nil || len(resp) == 0 {
-			t.Fatalf("read response: %v", err)
-		}
-		return resp[0]
-	}
-
-	// Two served ops, then two frames the strict decoder rejects (unknown
-	// opcode, truncated join): the error path must not count as an op.
-	if st := send(encodeRequest(nil, request{op: opJoin, name: "alice"})); st != stOK {
+	// Two served ops, then two sub-requests the strict decoder rejects
+	// (unknown opcode, truncated join): the error path must not count as
+	// an op.
+	if st := rc.send(encodeRequest(nil, request{op: opJoin, name: "alice"})); st != stOK {
 		t.Fatalf("join status = %d", st)
 	}
-	if st := send(encodeRequest(nil, request{op: opHeartbeat, worker: 1})); st != stOK {
+	if st := rc.send(encodeRequest(nil, request{op: opHeartbeat, worker: 1})); st != stOK {
 		t.Fatalf("heartbeat status = %d", st)
 	}
-	if st := send([]byte{0}); st != stBadRequest {
+	if st := rc.send([]byte{0}); st != stBadRequest {
 		t.Fatalf("unknown opcode status = %d", st)
 	}
-	if st := send([]byte{opJoin, 200}); st != stBadRequest {
+	if st := rc.send([]byte{opJoin, 200}); st != stBadRequest {
 		t.Fatalf("truncated join status = %d", st)
 	}
 

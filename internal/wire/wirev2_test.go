@@ -11,7 +11,6 @@ import (
 	"crypto/x509/pkix"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"math/big"
 	"net"
 	"strings"
@@ -35,7 +34,7 @@ func TestWireClientPoisonedByFramingError(t *testing.T) {
 		defer srvConn.Close()
 		br := bufio.NewReader(srvConn)
 		bw := bufio.NewWriter(srvConn)
-		if _, err := serverHandshake(br, bw); err != nil {
+		if err := serverHandshake(br, bw); err != nil {
 			return
 		}
 		if _, err := readFrame(br, nil); err != nil {
@@ -121,94 +120,37 @@ func TestWireHandshakeDeadlineClearedAfterMagic(t *testing.T) {
 	}
 }
 
-// A client pinned to v1 is served byte-for-byte by a v2 server: full
-// lifecycle, no envelopes anywhere.
-func TestWireV1ClientCompat(t *testing.T) {
-	t.Cleanup(servertest.VerifyNone(t))
+// SubmitAndFetch coalesces the worker loop's submit+fetch pair into one
+// frame each way, with the semantics of the two ops issued in turn.
+func TestWireSubmitAndFetch(t *testing.T) {
 	sh := server.NewShard(server.Config{WorkerTimeout: time.Hour}, 0, 1)
-	cliConn, srvConn := net.Pipe()
-	go NewServer(sh).ServeConn(srvConn)
-	cl, err := NewClientVersion(cliConn, Version1)
+	cl := pipeClient(t, sh)
+	w, err := cl.Join("pair")
 	if err != nil {
-		t.Fatalf("v1 handshake: %v", err)
+		t.Fatal(err)
 	}
-	defer cl.Close()
-	if cl.Version() != Version1 {
-		t.Fatalf("negotiated v%d, want v1", cl.Version())
-	}
-	w, err := cl.Join("legacy")
-	if err != nil {
-		t.Fatalf("join: %v", err)
-	}
-	ids, err := cl.SubmitTasks([]server.TaskSpec{{Records: []string{"r"}, Classes: 2, Quorum: 1}})
-	if err != nil || len(ids) != 1 {
+	ids, err := cl.SubmitTasks([]server.TaskSpec{
+		{Records: []string{"t0"}, Classes: 2, Quorum: 1},
+		{Records: []string{"t1"}, Classes: 2, Quorum: 1},
+	})
+	if err != nil || len(ids) != 2 {
 		t.Fatalf("enqueue: %v %v", ids, err)
 	}
 	a, ok, err := cl.FetchTask(w)
-	if err != nil || !ok || a.TaskID != ids[0] {
-		t.Fatalf("fetch: %+v/%v err=%v", a, ok, err)
+	if err != nil || !ok {
+		t.Fatalf("fetch: %v %v", ok, err)
 	}
-	if acc, _, err := cl.Submit(w, a.TaskID, []int{1}); err != nil || !acc {
-		t.Fatalf("submit: acc=%v err=%v", acc, err)
+	acc, term, next, ok, err := cl.SubmitAndFetch(w, a.TaskID, []int{0})
+	if err != nil || !acc || term {
+		t.Fatalf("submit+fetch: acc=%v term=%v err=%v", acc, term, err)
 	}
-	st, err := cl.Result(ids[0])
-	if err != nil || st.State != "complete" {
-		t.Fatalf("result: %+v err=%v", st, err)
+	if !ok || next.TaskID == a.TaskID {
+		t.Fatalf("submit+fetch next assignment: %+v ok=%v", next, ok)
 	}
-	// Batches degrade to sequential round trips with identical semantics.
-	b := cl.NewBatch()
-	hb := b.Heartbeat(w)
-	lv := b.Leave(w)
-	if err := b.Do(); err != nil || hb.Err != nil || lv.Err != nil {
-		t.Fatalf("v1 batch: do=%v hb=%v lv=%v", err, hb.Err, lv.Err)
-	}
-	if _, _, err := cl.FetchTask(w); err == nil || !strings.Contains(err.Error(), "unknown worker") {
-		t.Fatalf("fetch after leave = %v", err)
-	}
-}
-
-// SubmitAndFetch coalesces the worker loop's submit+fetch pair; on v2 it
-// is one frame each way, on v1 two round trips — semantics identical.
-func TestWireSubmitAndFetch(t *testing.T) {
-	for _, version := range []byte{Version1, Version2} {
-		t.Run(fmt.Sprintf("v%d", version), func(t *testing.T) {
-			t.Cleanup(servertest.VerifyNone(t))
-			sh := server.NewShard(server.Config{WorkerTimeout: time.Hour}, 0, 1)
-			cliConn, srvConn := net.Pipe()
-			go NewServer(sh).ServeConn(srvConn)
-			cl, err := NewClientVersion(cliConn, version)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer cl.Close()
-			w, err := cl.Join("pair")
-			if err != nil {
-				t.Fatal(err)
-			}
-			ids, err := cl.SubmitTasks([]server.TaskSpec{
-				{Records: []string{"t0"}, Classes: 2, Quorum: 1},
-				{Records: []string{"t1"}, Classes: 2, Quorum: 1},
-			})
-			if err != nil || len(ids) != 2 {
-				t.Fatalf("enqueue: %v %v", ids, err)
-			}
-			a, ok, err := cl.FetchTask(w)
-			if err != nil || !ok {
-				t.Fatalf("fetch: %v %v", ok, err)
-			}
-			acc, term, next, ok, err := cl.SubmitAndFetch(w, a.TaskID, []int{0})
-			if err != nil || !acc || term {
-				t.Fatalf("submit+fetch: acc=%v term=%v err=%v", acc, term, err)
-			}
-			if !ok || next.TaskID == a.TaskID {
-				t.Fatalf("submit+fetch next assignment: %+v ok=%v", next, ok)
-			}
-			// Final round: the fetch side legitimately comes back empty.
-			acc, _, _, ok, err = cl.SubmitAndFetch(w, next.TaskID, []int{0})
-			if err != nil || !acc || ok {
-				t.Fatalf("final submit+fetch: acc=%v ok=%v err=%v", acc, ok, err)
-			}
-		})
+	// Final round: the fetch side legitimately comes back empty.
+	acc, _, _, ok, err = cl.SubmitAndFetch(w, next.TaskID, []int{0})
+	if err != nil || !acc || ok {
+		t.Fatalf("final submit+fetch: acc=%v ok=%v err=%v", acc, ok, err)
 	}
 }
 
@@ -271,8 +213,12 @@ func TestWireBatchMixedOutcomes(t *testing.T) {
 	if j.Err != nil || j.ID != 1 {
 		t.Fatalf("join slot: id=%d err=%v", j.ID, j.Err)
 	}
-	if badHB.Err == nil || !strings.Contains(badHB.Err.Error(), "unknown worker") {
-		t.Fatalf("bad heartbeat slot: %v", badHB.Err)
+	// The batched heartbeat's error reads exactly as the single-op one's.
+	if want := "heartbeat: " + server.ErrUnknownWorker.Error(); badHB.Err == nil || badHB.Err.Error() != want {
+		t.Fatalf("bad heartbeat slot: %v, want %q", badHB.Err, want)
+	}
+	if err := cl.Heartbeat(999); err == nil || err.Error() != badHB.Err.Error() {
+		t.Fatalf("single-op heartbeat error %v != batched %v", err, badHB.Err)
 	}
 	if enq.Err != nil || len(enq.IDs) != 1 {
 		t.Fatalf("enqueue slot: %v %v", enq.IDs, enq.Err)
@@ -301,8 +247,8 @@ func TestWireServerRejectsOversizedBatchCount(t *testing.T) {
 	go NewServer(sh).ServeConn(srvConn)
 	br := bufio.NewReader(cliConn)
 	bw := bufio.NewWriter(cliConn)
-	if v, err := clientHandshake(br, bw, Version2); err != nil || v != Version2 {
-		t.Fatalf("handshake: v=%d err=%v", v, err)
+	if err := clientHandshake(br, bw); err != nil {
+		t.Fatalf("handshake: %v", err)
 	}
 	env := binary.AppendUvarint(nil, MaxBatch+1)
 	// Pad so the count isn't rejected by the bytes-remaining check alone.
