@@ -121,8 +121,13 @@ func TestWireHandshakeDeadlineClearedAfterMagic(t *testing.T) {
 }
 
 // SubmitAndFetch coalesces the worker loop's submit+fetch pair into one
-// frame each way, with the semantics of the two ops issued in turn.
+// frame each way, with the semantics of the two ops issued in turn. The
+// case runs under the protocol version it exercises, v2.
 func TestWireSubmitAndFetch(t *testing.T) {
+	t.Run("v2", testWireSubmitAndFetch)
+}
+
+func testWireSubmitAndFetch(t *testing.T) {
 	sh := server.NewShard(server.Config{WorkerTimeout: time.Hour}, 0, 1)
 	cl := pipeClient(t, sh)
 	w, err := cl.Join("pair")
