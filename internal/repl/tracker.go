@@ -89,13 +89,15 @@ func (t *Tracker) Positions() []Position {
 // reached (the mutating ack may claim follower durability) and false on
 // timeout (the ack is released anyway; the caller counts the degradation).
 func (t *Tracker) Wait(targets []Position, timeout time.Duration) bool {
-	deadline := time.AfterFunc(timeout, func() {
+	// The deadline is fixed before the timer is armed, so the timer fires
+	// no earlier than the deadline and its broadcast always finds it passed.
+	deadline := time.Now().Add(timeout)
+	timer := time.AfterFunc(timeout, func() {
 		t.mu.Lock()
 		t.cond.Broadcast()
 		t.mu.Unlock()
 	})
-	defer deadline.Stop()
-	expire := time.Now().Add(timeout)
+	defer timer.Stop()
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for {
@@ -109,7 +111,7 @@ func (t *Tracker) Wait(targets []Position, timeout time.Duration) bool {
 		if ok {
 			return true
 		}
-		if time.Now().After(expire) {
+		if !time.Now().Before(deadline) {
 			return false
 		}
 		t.cond.Wait()

@@ -1,6 +1,7 @@
 package repl
 
 import (
+	"sync"
 	"testing"
 	"time"
 )
@@ -84,5 +85,40 @@ func TestTrackerWaitWakesOnObserve(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("Wait not released by the Observe that reached its targets; it is waiting out its timer")
+	}
+}
+
+// A Wait whose timeout lapses must return even when nobody ever observes:
+// its deadline is fixed before the wake-up timer is armed, so the timer's
+// broadcast always finds the deadline passed and no waiter goes back to
+// sleep with no timer left to wake it.
+func TestTrackerWaitTimesOutUnobserved(t *testing.T) {
+	targets := []Position{{Gen: 1, Off: 8}}
+	const waiters, calls = 8, 20000
+	done := make(chan struct{})
+	go func() {
+		var wg sync.WaitGroup
+		for g := 0; g < waiters; g++ {
+			wg.Add(1)
+			// One Tracker per goroutine: a waiter on a shared one could be
+			// woken by another waiter's timer and hide a lost wake-up.
+			tr := NewTracker(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < calls; i++ {
+					if tr.Wait(targets, time.Microsecond) {
+						t.Error("Wait reached targets nobody observed")
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Wait calls still blocked 10 s after their 1 µs timeouts")
 	}
 }

@@ -116,11 +116,12 @@ func readFrame(br *bufio.Reader, buf []byte) ([]byte, error) {
 		if n > MaxFrame {
 			return nil, ErrTooLarge
 		}
-		var hdr [4]byte
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
+		p, err := br.Peek(4)
+		if err != nil {
 			return nil, unexpectedEOF(err)
 		}
-		crc = binary.LittleEndian.Uint32(hdr[:])
+		crc = binary.LittleEndian.Uint32(p)
+		br.Discard(4)
 	}
 payload:
 	if uint64(cap(buf)) < n {
@@ -148,10 +149,11 @@ func writeFrame(bw *bufio.Writer, payload []byte) error {
 	if len(payload) > MaxFrame {
 		return ErrTooLarge
 	}
-	var hdr [binary.MaxVarintLen64 + 4]byte
-	n := binary.PutUvarint(hdr[:], uint64(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[n:], crc32.Checksum(payload, crcTable))
-	if _, err := bw.Write(hdr[:n+4]); err != nil {
+	// The header is built in bw's free space: a stack array would escape
+	// through Write to the underlying io.Writer, one allocation per frame.
+	hdr := binary.AppendUvarint(bw.AvailableBuffer(), uint64(len(payload)))
+	hdr = binary.LittleEndian.AppendUint32(hdr, crc32.Checksum(payload, crcTable))
+	if _, err := bw.Write(hdr); err != nil {
 		return err
 	}
 	_, err := bw.Write(payload)

@@ -4,10 +4,12 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"io"
 	"net"
 	"reflect"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"github.com/clamshell/clamshell/internal/server"
@@ -355,6 +357,19 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 	if err != ErrChecksum {
 		t.Fatalf("bit flip error = %v, want ErrChecksum", err)
+	}
+
+	// Fed one byte at a time, every header straddles a buffer refill and
+	// takes readFrame's slow path; a stream cut inside a CRC is a torn frame.
+	br = bufio.NewReader(iotest.OneByteReader(bytes.NewReader(buf.Bytes())))
+	for i, want := range payloads {
+		if got, err := readFrame(br, nil); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("byte-at-a-time frame %d: %d bytes, %v", i, len(got), err)
+		}
+	}
+	torn := bufio.NewReader(iotest.OneByteReader(bytes.NewReader(buf.Bytes()[:3])))
+	if _, err := readFrame(torn, nil); err != io.ErrUnexpectedEOF {
+		t.Fatalf("torn header error = %v, want io.ErrUnexpectedEOF", err)
 	}
 
 	// An oversized length prefix is rejected before allocation.
